@@ -27,13 +27,11 @@ from .engine import (
     NamingMode,
     Trigger,
     VerifyReport,
-    ancestors,
     breadth_first_completion,
-    depth,
     enumerate_breadth_first_derivations,
     enumerate_triggers,
-    extend,
     is_applicable,
+    rank_triggers,
     restrict,
     run_breadth_first,
     run_random_exhaustive,

@@ -3,7 +3,21 @@
 A Derivation is an immutable value: ``extend`` returns a new one, so search
 procedures can branch freely without copying state by hand.  Atom ranks are
 fixed at first production; depth is the maximal atom rank, so a datalog step
-whose products already exist never increases depth.
+whose products already exist never increases depth.  The factbase is an
+``IndexedAtoms``: ``extend`` inserts the step's new atoms into the parent's
+per-predicate index, so homomorphism searches against it never re-index.
+
+A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
+rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
+atom of rank κ-1: the semi-naive delta.  ``rank_triggers`` enumerates exactly
+those, and the breadth-first runner, the decider's derivation search, the
+breadth-first completion and ``verify_derivation`` work rank by rank through
+it.  This is exact for the oblivious, semi-oblivious and restricted chases
+because their non-applicability is monotone: a trigger that is not applicable
+stays so as the derivation grows, so once a rank is exhausted no lower rank
+needs another look.  The equivalent chase is not monotone (a trigger can wake
+up again), so it, the random-order runner and the verification of
+non-rank-compatible derivations keep the full scan ``enumerate_triggers``.
 
 Null naming follows the derivation's naming mode: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -15,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 from .budget import Budget
@@ -28,7 +41,13 @@ from .errors import (
     UnknownTriggerError,
     VariantUnsupportedError,
 )
-from .homomorphism import all_homomorphisms, find_homomorphism
+from .homomorphism import (
+    IndexedAtoms,
+    all_homomorphisms,
+    find_homomorphism,
+    positional_homomorphisms,
+    predicate_key,
+)
 from .rules import KnowledgeBase, Rule, RuleSet
 from .terms import (
     Atom,
@@ -37,6 +56,7 @@ from .terms import (
     Null,
     Substitution,
     TriggerKey,
+    sorted_atoms,
     term_sort_key,
 )
 
@@ -130,7 +150,7 @@ class Derivation:
               naming_mode: Optional[NamingMode] = None) -> "Derivation":
         naming = naming_mode or default_naming(variant)
         initial = frozenset(kb.factbase)
-        return cls(variant, kb.ruleset, naming, initial, (), initial,
+        return cls(variant, kb.ruleset, naming, initial, (), IndexedAtoms(initial),
                    {a: 0 for a in initial}, {}, {}, frozenset(), frozenset())
 
     # -- queries ----------------------------------------------------------
@@ -243,7 +263,7 @@ class Derivation:
         produced = frozenset(head - self.factbase)
         trank = 1 + max(self._rank[a] for a in body_image)
 
-        factbase = self.factbase | produced
+        factbase = self.factbase.with_atoms(produced)
         rank = dict(self._rank)
         parents = dict(self._parents)
         producer = dict(self._producer)
@@ -267,19 +287,59 @@ class Derivation:
 
 
 def enumerate_triggers(factbase: frozenset, rs: RuleSet) -> list[Trigger]:
-    """All triggers of all rules on the factbase, in a deterministic order."""
-    return list(_enumerate_triggers_cached(factbase, rs))
+    """All triggers of all rules on the factbase, sorted by trigger_sort_key."""
+    return [Trigger(rule.rule_id, pi)
+            for rule in rs for pi in all_homomorphisms(rule.body, factbase)]
 
 
-@lru_cache(maxsize=256)
-def _enumerate_triggers_cached(factbase: frozenset, rs: RuleSet) -> tuple:
-    # RuleSet instances hash by identity, which is exactly the reuse pattern
-    # of search loops re-scanning the same factbase.
+def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
+    """Every trigger of rank ``kappa`` on the derivation, applied or not,
+    sorted by trigger_sort_key.
+
+    Semi-naive join: the body maps onto atoms of rank <= κ-1 and at least one
+    body atom onto an atom of rank κ-1.  Each match is produced once, keyed by
+    the first body position (in atom_sort_key order) bound to a rank-(κ-1)
+    atom: earlier positions take atoms of rank < κ-1, later ones any atom of
+    rank <= κ-1.
+    """
+    last = kappa - 1
+    rank = d._rank
+    split: dict[tuple[str, int], tuple[list, list, list]] = {}
+
+    def by_rank(key: tuple[str, int]) -> tuple[list, list, list]:
+        # (older, delta, up to κ-1) atoms of one predicate.
+        if key not in split:
+            older, delta, upto = [], [], []
+            for a in d.factbase.index.get(key, ()):
+                r = rank[a]
+                if r < last:
+                    older.append(a)
+                    upto.append(a)
+                elif r == last:
+                    delta.append(a)
+                    upto.append(a)
+            split[key] = older, delta, upto
+        return split[key]
+
     out: list[Trigger] = []
-    for rule in rs:
-        for pi in all_homomorphisms(rule.body, factbase):
-            out.append(Trigger(rule.rule_id, pi))
-    return tuple(out)
+    for rule in d.ruleset:
+        body = sorted_atoms(rule.body)
+        parts = [by_rank(predicate_key(a)) for a in body]
+        for i, (_, delta, _) in enumerate(parts):
+            if not delta:
+                continue
+            candidates = [p[0] for p in parts[:i]] + [delta] + \
+                [p[2] for p in parts[i + 1:]]
+            out.extend(Trigger(rule.rule_id, pi)
+                       for pi in positional_homomorphisms(body, candidates))
+    out.sort(key=lambda t: trigger_sort_key(d.ruleset, t))
+    return out
+
+
+def _first_applicable(variant: ChaseVariant, d: Derivation,
+                      triggers: Iterable[Trigger]) -> Optional[Trigger]:
+    return next((t for t in triggers
+                 if t not in d.applied and is_applicable(variant, d, t)), None)
 
 
 def is_applicable(variant: ChaseVariant, derivation: Derivation,
@@ -328,18 +388,6 @@ def is_applicable(variant: ChaseVariant, derivation: Derivation,
     return find_homomorphism(extended, derivation.factbase) is None
 
 
-def extend(derivation: Derivation, trigger: Trigger) -> Derivation:
-    return derivation.extend(trigger, check=True)
-
-
-def depth(derivation: Derivation) -> int:
-    return derivation.depth()
-
-
-def ancestors(derivation: Derivation, target: Union[Atom, Trigger]) -> frozenset:
-    return derivation.ancestors(target)
-
-
 # -- restriction, verification, completion ----------------------------------
 
 
@@ -383,6 +431,9 @@ class VerifyReport:
 
 
 def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple[int, Trigger]]:
+    """Full scan: every unapplied applicable trigger of any rank, with its
+    rank.  Only for the cases rank_triggers cannot serve (see the module
+    docstring)."""
     out = []
     for t in enumerate_triggers(d.factbase, d.ruleset):
         if t in d.applied:
@@ -395,14 +446,22 @@ def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple
 def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int], list[Trigger]]:
     """Smallest trigger rank with an applicable trigger left, together with
     ALL unapplied triggers of that rank (applicable or not right now), sorted
-    canonically.  (None, []) when nothing is applicable at any rank."""
-    by_rank: dict[int, list[Trigger]] = {}
-    for t in enumerate_triggers(d.factbase, d.ruleset):
-        if t in d.applied:
-            continue
-        by_rank.setdefault(d.trigger_rank_of(t), []).append(t)
-    for rank in sorted(by_rank):
-        group = sorted(by_rank[rank], key=lambda t: trigger_sort_key(d.ruleset, t))
+    canonically.  (None, []) when nothing is applicable at any rank.
+
+    ``d`` must be a breadth-first derivation whose last rank is exhausted.
+    For o/so/r every lower rank then stays exhausted, so the only rank to look
+    at is the last step's rank + 1; the equivalent chase rescans every rank.
+    """
+    if variant is ChaseVariant.EQUIVALENT:
+        by_rank: dict[int, list[Trigger]] = {}
+        for t in enumerate_triggers(d.factbase, d.ruleset):
+            if t not in d.applied:
+                by_rank.setdefault(d.trigger_rank_of(t), []).append(t)
+        groups = [(rank, by_rank[rank]) for rank in sorted(by_rank)]
+    else:
+        kappa = d.steps[-1].trigger_rank + 1 if d.steps else 1
+        groups = [(kappa, [t for t in rank_triggers(d, kappa) if t not in d.applied])]
+    for rank, group in groups:
         if any(is_applicable(variant, d, t) for t in group):
             return rank, group
     return None, []
@@ -410,13 +469,41 @@ def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int
 
 def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyReport:
     """Full replay re-checking applicability, rank compatibility, rank
-    exhaustiveness at every last-step-of-rank boundary, and termination."""
-    violations: list[str] = []
-    valid = True
+    exhaustiveness at every last-step-of-rank boundary, and termination.
+
+    A boundary is checked on the replay right before the next rank's first
+    step.  While the replay is rank-compatible and the variant is o/so/r, the
+    first violated boundary (last step of rank k) can only be violated by
+    triggers of rank k: a violator of a lower rank j would, by monotonicity,
+    already have violated boundary j.  So each boundary looks at rank k alone,
+    and termination at the ranks from the first violated boundary's (or the
+    last rank + 1) upwards.  Other replays scan every trigger.
+    """
+    monotone = variant is not ChaseVariant.EQUIVALENT
+    applicability: list[str] = []
+    ordering: Optional[str] = None
+    exhaustion: Optional[str] = None
+    exhausted_at: Optional[int] = None
+    ranks: list[int] = []
+
+    def check_boundary(prefix: Derivation, step_no: int) -> None:
+        nonlocal exhaustion, exhausted_at
+        k = ranks[-1]
+        if monotone and ordering is None:
+            t = _first_applicable(variant, prefix, rank_triggers(prefix, k))
+            violator = None if t is None else (k, t)
+        else:
+            violator = next(((rank, t) for rank, t in _applicable_new_triggers(variant, prefix)
+                             if rank != k + 1), None)
+        if violator is not None:
+            rank, t = violator
+            exhaustion = (f"after step {step_no} (last of rank {k}): trigger {t} of "
+                          f"rank {rank} is still {variant.value}-applicable")
+            exhausted_at = k
+
     replay = Derivation.start(variant,
                               KnowledgeBase(derivation.initial, derivation.ruleset),
                               derivation.naming_mode)
-    prefixes: list[Derivation] = []
     for i, step in enumerate(derivation.steps):
         try:
             ok = is_applicable(variant, replay, step.trigger)
@@ -424,39 +511,30 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
             return VerifyReport(False, False, False, False,
                                 f"step {i + 1}: {exc}")
         if not ok:
-            valid = False
-            violations.append(
+            applicability.append(
                 f"step {i + 1}: trigger {step.trigger} is not "
                 f"{variant.value}-applicable")
-        replay = replay.extend(step.trigger, check=False)
-        prefixes.append(replay)
+        prefix, replay = replay, replay.extend(step.trigger, check=False)
+        rank = replay.steps[-1].trigger_rank
+        if ranks and rank != ranks[-1] and exhaustion is None:
+            check_boundary(prefix, i)
+        if ranks and rank < ranks[-1] and ordering is None:
+            ordering = f"step {i + 1}: trigger rank {rank} after rank {ranks[-1]}"
+        ranks.append(rank)
+    if ranks and exhaustion is None:
+        check_boundary(replay, len(ranks))
 
-    ranks = [s.trigger_rank for s in replay.steps]
-    rank_compatible = all(ranks[i] <= ranks[i + 1] for i in range(len(ranks) - 1))
-    if not rank_compatible:
-        bad = next(i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1])
-        violations.append(
-            f"step {bad + 2}: trigger rank {ranks[bad + 1]} after rank {ranks[bad]}")
-
-    rank_exhaustive = True
-    for i, prefix in enumerate(prefixes):
-        is_boundary = i == len(prefixes) - 1 or ranks[i + 1] != ranks[i]
-        if not is_boundary:
-            continue
-        k = ranks[i]
-        for rank, t in _applicable_new_triggers(variant, prefix):
-            if rank != k + 1:
-                rank_exhaustive = False
-                violations.append(
-                    f"after step {i + 1} (last of rank {k}): trigger {t} of "
-                    f"rank {rank} is still {variant.value}-applicable")
-                break
-        if not rank_exhaustive:
-            break
-
-    terminating = not _applicable_new_triggers(variant, replay)
-    return VerifyReport(valid, rank_compatible, rank_exhaustive, terminating,
-                        violations[0] if violations else None)
+    if monotone and ordering is None:
+        last = ranks[-1] if ranks else 0
+        start = exhausted_at if exhausted_at is not None else last + 1
+        terminating = all(
+            _first_applicable(variant, replay, rank_triggers(replay, kappa)) is None
+            for kappa in range(start, last + 2))
+    else:
+        terminating = not _applicable_new_triggers(variant, replay)
+    violations = applicability + [v for v in (ordering, exhaustion) if v]
+    return VerifyReport(not applicability, ordering is None, exhaustion is None,
+                        terminating, violations[0] if violations else None)
 
 
 def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> Derivation:
@@ -487,9 +565,7 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
                 out = out.extend(step.trigger, check=False)
         # Candidates of this rank are fixed once the previous rank is done;
         # re-check before each application since order matters for R.
-        candidates = [t for t in enumerate_triggers(out.factbase, rs)
-                      if t not in out.applied and out.trigger_rank_of(t) == kappa]
-        candidates.sort(key=lambda t: trigger_sort_key(rs, t))
+        candidates = [t for t in rank_triggers(out, kappa) if t not in out.applied]
         progress = True
         while progress:
             progress = False

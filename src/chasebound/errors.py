@@ -35,10 +35,6 @@ class VariantUnsupportedError(ChaseError):
     """Operation not defined for this chase variant (typically the equivalent chase)."""
 
 
-class CanonicalBudgetError(ChaseError):
-    """Relabeling search for a canonical form exceeded its configured budget."""
-
-
 class BudgetExceededError(ChaseError):
     """A search ran out of its time or size budget.
 
@@ -52,6 +48,10 @@ class BudgetExceededError(ChaseError):
         self.steps = steps
         self.items = items
         self.elapsed_ms = elapsed_ms
+
+
+class CanonicalBudgetError(BudgetExceededError):
+    """Relabeling search for a canonical form exceeded its configured budget."""
 
 
 class VersionMismatchError(ChaseError):

@@ -1,15 +1,23 @@
 """Homomorphism search, isomorphism, cores and canonical forms for atom sets.
 
-The searcher is a plain backtracking matcher.  Source atoms are ordered by
-selectivity (fewest candidate target atoms first, ties broken by a serialized
-form) so results are deterministic and pruning happens early.  Constants are
-always frozen; nulls and variables are remappable unless explicitly frozen.
+The searcher is a plain backtracking matcher over per-source-atom candidate
+lists.  Source atoms are ordered by selectivity (fewest candidate target atoms
+first, ties broken by atom_sort_key) so results are deterministic and pruning
+happens early.  Constants are always frozen; nulls and variables are
+remappable unless explicitly frozen.
+
+Candidates come from a per-predicate index of the target, each list sorted by
+atom_sort_key.  An ``IndexedAtoms`` target carries that index with it and is
+searched as is; a chase derivation's factbase is one, grown step by step by
+sorted insertion of the new atoms only.  Any other target is indexed afresh on
+every call.  ``positional_homomorphisms`` takes explicit candidate lists, which
+is how the engine joins rule bodies against atoms of chosen ranks only.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Optional
+import bisect
+from typing import Iterable, Optional, Sequence
 
 from .errors import CanonicalBudgetError
 from .terms import (
@@ -23,19 +31,57 @@ from .terms import (
     term_sort_key,
 )
 
+def predicate_key(a: Atom) -> tuple[str, int]:
+    return a.predicate, len(a.args)
+
+
+def _build_index(atoms: Iterable[Atom]) -> dict[tuple[str, int], list[Atom]]:
+    """(predicate, arity) -> that predicate's atoms sorted by atom_sort_key."""
+    index: dict[tuple[str, int], list[Atom]] = {}
+    for a in sorted_atoms(atoms):
+        index.setdefault(predicate_key(a), []).append(a)
+    return index
+
+
+class IndexedAtoms(frozenset):
+    """A frozenset of atoms carrying its per-predicate index.
+
+    Set operators return plain frozensets (and ``frozenset(x)`` copies one
+    without the index); ``with_atoms`` is the way to grow an instance while
+    keeping it indexed.  The index lists are shared between instances and
+    must not be mutated.
+    """
+
+    __slots__ = ("index",)
+
+    def __new__(cls, atoms: Iterable[Atom] = (), index: Optional[dict] = None):
+        self = super().__new__(cls, atoms)
+        self.index = _build_index(self) if index is None else index
+        return self
+
+    def with_atoms(self, new: frozenset) -> "IndexedAtoms":
+        """This set plus ``new``; only the lists of new atoms' predicates are
+        copied, and each new atom is inserted in sort order."""
+        new = new - self
+        if not new:
+            return self
+        index = dict(self.index)
+        grown: set = set()
+        for a in new:
+            key = predicate_key(a)
+            if key not in grown:
+                index[key] = list(index.get(key, ()))
+                grown.add(key)
+            bisect.insort(index[key], a, key=atom_sort_key)
+        return IndexedAtoms(self | new, index)
+
+
+def _index_of(target: frozenset) -> dict:
+    return target.index if isinstance(target, IndexedAtoms) else _build_index(target)
+
 
 def _is_frozen(term: Term, frozen: frozenset) -> bool:
     return isinstance(term, Constant) or term in frozen
-
-
-@lru_cache(maxsize=256)
-def _candidates_by_predicate(target: frozenset) -> dict[tuple[str, int], list[Atom]]:
-    # Cached per factbase: applicability checks against one factbase come in
-    # bursts.  Callers must not mutate the returned index.
-    index: dict[tuple[str, int], list[Atom]] = {}
-    for a in sorted_atoms(target):
-        index.setdefault((a.predicate, len(a.args)), []).append(a)
-    return index
 
 
 def _match_atom(src: Atom, tgt: Atom, binding: dict, frozen: frozenset) -> Optional[list[Term]]:
@@ -59,27 +105,37 @@ def _match_atom(src: Atom, tgt: Atom, binding: dict, frozen: frozenset) -> Optio
     return None
 
 
-def _search(source: list[Atom], index: dict, binding: dict, frozen: frozenset,
-            pos: int, results: list[dict], first_only: bool) -> bool:
+def _search(source: list[Atom], candidates: list[Sequence[Atom]], binding: dict,
+            frozen: frozenset, pos: int, results: list[dict], first_only: bool) -> bool:
     if pos == len(source):
         results.append(dict(binding))
         return first_only
     src = source[pos]
-    for tgt in index.get((src.predicate, len(src.args)), ()):
+    for tgt in candidates[pos]:
         new = _match_atom(src, tgt, binding, frozen)
         if new is None:
             continue
-        if _search(source, index, binding, frozen, pos + 1, results, first_only):
+        if _search(source, candidates, binding, frozen, pos + 1, results, first_only):
             return True
         for s in new:
             del binding[s]
     return False
 
 
-def _ordered_source(source: Iterable[Atom], index: dict) -> list[Atom]:
-    return sorted(source,
-                  key=lambda a: (len(index.get((a.predicate, len(a.args)), ())),
-                                 atom_sort_key(a)))
+def _run_search(pairs: Iterable[tuple[Atom, Sequence[Atom]]], frozen: frozenset,
+                first_only: bool) -> list[dict]:
+    """Match each source atom onto one of its candidates, most selective
+    source atom first."""
+    ordered = sorted(pairs, key=lambda p: (len(p[1]), atom_sort_key(p[0])))
+    results: list[dict] = []
+    _search([src for src, _ in ordered], [cands for _, cands in ordered], {},
+            frozen, 0, results, first_only)
+    return results
+
+
+def _target_pairs(source: Iterable[Atom], target: frozenset) -> list:
+    index = _index_of(target)
+    return [(a, index.get(predicate_key(a), ())) for a in source]
 
 
 def _assert_sound(sub: Substitution, source: frozenset, target: frozenset,
@@ -96,29 +152,31 @@ def find_homomorphism(source: frozenset, target: frozenset,
     The returned substitution is the identity on ``frozen`` and on constants
     (identity entries are simply absent from its domain).
     """
-    index = _candidates_by_predicate(frozenset(target))
-    ordered = _ordered_source(source, index)
-    results: list[dict] = []
-    _search(ordered, index, {}, frozen, 0, results, first_only=True)
+    results = _run_search(_target_pairs(source, target), frozen, first_only=True)
     if not results:
         return None
     sub = Substitution(results[0])
-    _assert_sound(sub, frozenset(source), frozenset(target), frozen)
+    _assert_sound(sub, source, target, frozen)
     return sub
 
 
 def all_homomorphisms(source: frozenset, target: frozenset,
                       frozen: frozenset = frozenset()) -> list[Substitution]:
     """Every distinct homomorphism, in a deterministic (sorted) order."""
-    index = _candidates_by_predicate(frozenset(target))
-    ordered = _ordered_source(source, index)
-    results: list[dict] = []
-    _search(ordered, index, {}, frozen, 0, results, first_only=False)
+    results = _run_search(_target_pairs(source, target), frozen, first_only=False)
     subs = [Substitution(r) for r in results]
     for sub in subs:
-        _assert_sound(sub, frozenset(source), frozenset(target), frozen)
+        _assert_sound(sub, source, target, frozen)
     return sorted(subs, key=lambda s: tuple((term_sort_key(k), term_sort_key(v))
                                             for k, v in s.items()))
+
+
+def positional_homomorphisms(source: Sequence[Atom],
+                             candidates: Sequence[Sequence[Atom]]) -> list[Substitution]:
+    """Every substitution mapping each ``source[i]`` onto an atom of
+    ``candidates[i]`` (constants fixed), in no particular order."""
+    return [Substitution(r)
+            for r in _run_search(zip(source, candidates), frozenset(), first_only=False)]
 
 
 def homomorphic_equivalent(a: frozenset, b: frozenset) -> bool:

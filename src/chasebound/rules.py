@@ -77,8 +77,6 @@ class RuleSet:
         self.rule_constants: frozenset = frozenset(
             c for r in self.rules for c in constants_of(r.body) | constants_of(r.head))
         self.is_datalog: bool = all(r.is_datalog for r in self.rules)
-        self.max_arity: int = max(
-            (a.arity for r in self.rules for a in r.body | r.head), default=1)
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)

@@ -13,7 +13,6 @@ import json
 from typing import Optional
 
 from .engine import (
-    ChaseResult,
     ChaseVariant,
     Derivation,
     HaltReason,
@@ -21,7 +20,7 @@ from .engine import (
     Trigger,
 )
 from .errors import ReplayFailureError, VersionMismatchError
-from .parser import parse_atom, parse_kb, parse_term, serialize_rule
+from .parser import ParseError, parse_atom, parse_kb, parse_term, serialize_rule
 from .rules import KnowledgeBase
 from .terms import Substitution, Variable, sorted_atoms
 
@@ -67,19 +66,57 @@ def _parse_ruleset_and_initial(doc: dict) -> KnowledgeBase:
     return result.kb
 
 
+# Value type of every key a trace document (or one of its steps) must have.
+_DOC_FIELDS = {"variant": str, "naming_mode": str, "rules": list, "initial": list,
+               "steps": list}
+_STEP_FIELDS = {"rule": str, "substitution": dict, "produced": list,
+                "trigger_rank": int, "factbase_size": int}
+
+
+def _check_fields(obj, fields: dict, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ReplayFailureError(f"{where} is not a JSON object")
+    for key, kind in fields.items():
+        if not isinstance(obj.get(key), kind):
+            raise ReplayFailureError(
+                f"{where}: \"{key}\" is missing or not a JSON {kind.__name__}")
+
+
+def _check_shape(doc: dict) -> None:
+    """ReplayFailureError unless ``doc`` has the keys and value types of a
+    trace document, so that replay never trips over a malformed one."""
+    _check_fields(doc, _DOC_FIELDS, "trace")
+    texts = doc["rules"] + doc["initial"]
+    for i, step in enumerate(doc["steps"], start=1):
+        _check_fields(step, _STEP_FIELDS, f"step {i}")
+        texts += step["produced"] + list(step["substitution"].values())
+    if not all(isinstance(t, str) for t in texts):
+        raise ReplayFailureError("trace: a rule, atom or term is not a JSON string")
+
+
+def _enum(kind, value):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ReplayFailureError(f"unknown {kind.__name__} {value!r}")
+
+
 def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     """Replay a trace document into a Derivation; bit-exact or it raises."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReplayFailureError(f"trace is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ReplayFailureError("trace is not a JSON object")
     version = doc.get("format_version")
     if version != TRACE_FORMAT_VERSION:
         raise VersionMismatchError(
             f"trace format version {version!r}, expected {TRACE_FORMAT_VERSION}")
+    _check_shape(doc)
     kb = _parse_ruleset_and_initial(doc)
-    variant = ChaseVariant(doc["variant"])
-    naming = NamingMode(doc["naming_mode"])
+    variant = _enum(ChaseVariant, doc["variant"])
+    naming = _enum(NamingMode, doc["naming_mode"])
     d = Derivation.start(variant, kb, naming)
     for i, step in enumerate(doc["steps"], start=1):
         rule_id = step["rule"]
@@ -87,9 +124,11 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
             rule = kb.ruleset[rule_id]
         except KeyError:
             raise ReplayFailureError(f"step {i}: unknown rule {rule_id}")
-        mapping = {}
-        for name, term_text in step["substitution"].items():
-            mapping[Variable(name, rule_id)] = parse_term(term_text)
+        try:
+            mapping = {Variable(name, rule_id): parse_term(term_text)
+                       for name, term_text in step["substitution"].items()}
+        except ParseError as exc:
+            raise ReplayFailureError(f"step {i}: substitution does not parse: {exc}")
         trigger = Trigger(rule_id, Substitution(mapping))
         if trigger.pi.domain() != rule.body_vars:
             raise ReplayFailureError(
@@ -111,12 +150,8 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
                 f"{step['trigger_rank']}")
         if new.resulting_factbase_size != step["factbase_size"]:
             raise ReplayFailureError(f"step {i}: factbase size diverges")
-    halt = HaltReason(doc["halt_reason"]) if doc.get("halt_reason") else None
+    halt = _enum(HaltReason, doc["halt_reason"]) if doc.get("halt_reason") else None
     return d, halt
-
-
-def serialize_result(result: ChaseResult) -> str:
-    return serialize_trace(result.derivation, result.halt_reason)
 
 
 def witness_document(variant: ChaseVariant, k: int, bound_mode: str,

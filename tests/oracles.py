@@ -18,15 +18,19 @@ from chasebound import (
     KnowledgeBase,
     RuleSet,
     Substitution,
+    UnknownTriggerError,
     Variable,
+    VerifyReport,
     derive_rule_metadata,
     deserialize_trace,
+    enumerate_triggers,
+    is_applicable,
     restrict,
     run_breadth_first,
     serialize_trace,
     verify_derivation,
 )
-from chasebound.engine import HaltReason, breadth_first_completion
+from chasebound.engine import HaltReason, breadth_first_completion, trigger_sort_key
 
 V = ChaseVariant
 
@@ -230,3 +234,83 @@ def bounded_run(variant: ChaseVariant, kb: KnowledgeBase, depth_cap: int = 3,
     last_rank = max((s.trigger_rank for s in res.derivation.steps), default=0)
     cut = depth_cap if res.halt_reason is HaltReason.DEPTH_CAP else last_rank - 1
     return breadth_first_prefix(res.derivation, cut), False
+
+
+# -- full-rescan references for the engine's rank-by-rank paths ----------------
+
+
+def oracle_applicable_new_triggers(variant: ChaseVariant,
+                                   d: Derivation) -> list[tuple[int, object]]:
+    """Every unapplied applicable trigger on the whole factbase, with its rank."""
+    out = []
+    for t in enumerate_triggers(d.factbase, d.ruleset):
+        if t in d.applied:
+            continue
+        if is_applicable(variant, d, t):
+            out.append((d.trigger_rank_of(t), t))
+    return out
+
+
+def oracle_rank_candidates(variant: ChaseVariant, d: Derivation):
+    """Smallest rank with an applicable trigger, with all unapplied triggers
+    of that rank sorted canonically; every rank is rescanned."""
+    by_rank: dict[int, list] = {}
+    for t in enumerate_triggers(d.factbase, d.ruleset):
+        if t in d.applied:
+            continue
+        by_rank.setdefault(d.trigger_rank_of(t), []).append(t)
+    for rank in sorted(by_rank):
+        group = sorted(by_rank[rank], key=lambda t: trigger_sort_key(d.ruleset, t))
+        if any(is_applicable(variant, d, t) for t in group):
+            return rank, group
+    return None, []
+
+
+def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyReport:
+    """Replay, then check every rank boundary and termination by full scans."""
+    violations: list[str] = []
+    valid = True
+    replay = Derivation.start(variant,
+                              KnowledgeBase(derivation.initial, derivation.ruleset),
+                              derivation.naming_mode)
+    prefixes: list[Derivation] = []
+    for i, step in enumerate(derivation.steps):
+        try:
+            ok = is_applicable(variant, replay, step.trigger)
+        except UnknownTriggerError as exc:
+            return VerifyReport(False, False, False, False,
+                                f"step {i + 1}: {exc}")
+        if not ok:
+            valid = False
+            violations.append(
+                f"step {i + 1}: trigger {step.trigger} is not "
+                f"{variant.value}-applicable")
+        replay = replay.extend(step.trigger, check=False)
+        prefixes.append(replay)
+
+    ranks = [s.trigger_rank for s in replay.steps]
+    rank_compatible = all(ranks[i] <= ranks[i + 1] for i in range(len(ranks) - 1))
+    if not rank_compatible:
+        bad = next(i for i in range(len(ranks) - 1) if ranks[i] > ranks[i + 1])
+        violations.append(
+            f"step {bad + 2}: trigger rank {ranks[bad + 1]} after rank {ranks[bad]}")
+
+    rank_exhaustive = True
+    for i, prefix in enumerate(prefixes):
+        is_boundary = i == len(prefixes) - 1 or ranks[i + 1] != ranks[i]
+        if not is_boundary:
+            continue
+        k = ranks[i]
+        for rank, t in oracle_applicable_new_triggers(variant, prefix):
+            if rank != k + 1:
+                rank_exhaustive = False
+                violations.append(
+                    f"after step {i + 1} (last of rank {k}): trigger {t} of "
+                    f"rank {rank} is still {variant.value}-applicable")
+                break
+        if not rank_exhaustive:
+            break
+
+    terminating = not oracle_applicable_new_triggers(variant, replay)
+    return VerifyReport(valid, rank_compatible, rank_exhaustive, terminating,
+                        violations[0] if violations else None)

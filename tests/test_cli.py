@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from chasebound.cli import cli
+from chasebound.homomorphism import canonical_form
 
 from conftest import EXAMPLE_SOURCES
 
@@ -71,7 +72,10 @@ def test_run_determinism_across_processes(kb_file, tmp_path):
     traces = []
     for i, hashseed in enumerate(("1", "31337")):
         path = tmp_path / f"p{i}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        # The child imports chasebound the way this process does, installed
+        # or not: pytest's own pythonpath setting does not reach it.
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
             [sys.executable, "-m", "chasebound.cli", "run",
              "--kb", kb_file("ex11"), "--variant", "r",
@@ -184,3 +188,60 @@ def test_kbounded_jobs_flag(tmp_path):
 
 def test_usage_error_unknown_subcommand():
     assert run_cli(["frobnicate"])[0] == 2
+
+
+def _verify_document(tmp_path, kb_file, mangle):
+    """Verify a ``run`` trace of ex4 after ``mangle`` rewrote its document."""
+    trace = tmp_path / "t.json"
+    run_cli(["run", "--kb", kb_file("ex4"), "--variant", "r",
+             "--trace", str(trace)])
+    doc = mangle(json.loads(trace.read_text()))
+    trace.write_text(json.dumps(doc), encoding="utf-8")
+    return run_cli(["verify", "--trace", str(trace)])
+
+
+def test_verify_trace_without_variant_is_replay_failure(kb_file, tmp_path):
+    def drop_variant(doc):
+        del doc["variant"]
+        return doc
+    code, out, _ = _verify_document(tmp_path, kb_file, drop_variant)
+    assert code == 1
+    assert out.startswith("replay: failed (") and '"variant"' in out
+
+
+def test_verify_step_substitution_list_is_replay_failure(kb_file, tmp_path):
+    def listify(doc):
+        step = doc["steps"][0]
+        step["substitution"] = list(step["substitution"].items())
+        return doc
+    code, out, _ = _verify_document(tmp_path, kb_file, listify)
+    assert code == 1
+    assert out.startswith("replay: failed (step 1:")
+
+
+def test_verify_top_level_list_is_replay_failure(kb_file, tmp_path):
+    code, out, _ = _verify_document(tmp_path, kb_file, lambda doc: [doc])
+    assert code == 1
+    assert out.startswith("replay: failed (")
+
+
+def test_verify_unparsable_substitution_term_is_replay_failure(kb_file, tmp_path):
+    def garble(doc):
+        doc["steps"][0]["substitution"]["X"] = "(("
+        return doc
+    code, out, _ = _verify_document(tmp_path, kb_file, garble)
+    assert code == 1
+    assert out.startswith("replay: failed (step 1: substitution does not parse")
+
+
+def test_kbounded_canonical_budget_exits_3(monkeypatch):
+    import chasebound.boundedness as boundedness
+
+    def tiny(atoms, fixed=frozenset()):
+        return canonical_form(atoms, fixed, max_nodes=1)
+
+    monkeypatch.setattr(boundedness, "canonical_form", tiny)
+    code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+                            "--variant", "r", "--k", "1"])
+    assert code == 3
+    assert "canonical_form exceeded 1 search nodes" in err

@@ -1,0 +1,137 @@
+"""The rank-by-rank engine against full-rescan oracles on seeded random KBs.
+
+The breadth-first runner, the completion and ``verify_derivation`` enumerate
+one rank at a time through ``rank_triggers`` and search the factbase through
+its carried index.  Each of these is checked here against the whole-factbase
+computation it replaces (``oracles.oracle_*``, ``enumerate_triggers``, a fresh
+``sorted_atoms`` index).
+"""
+
+import random
+
+from chasebound import (
+    ChaseVariant,
+    Derivation,
+    HaltReason,
+    KnowledgeBase,
+    enumerate_triggers,
+    rank_triggers,
+    run_breadth_first,
+    run_random_exhaustive,
+    verify_derivation,
+)
+from chasebound.engine import _rank_candidates
+from chasebound.terms import sorted_atoms
+
+from oracles import (
+    oracle_rank_candidates,
+    oracle_verify_derivation,
+    random_kb,
+)
+
+V = ChaseVariant
+HEREDITARY = (V.OBLIVIOUS, V.SEMI_OBLIVIOUS, V.RESTRICTED)
+
+
+def prefixes(derivation):
+    """The derivation after 0, 1, ..., len(steps) steps, rebuilt by replay."""
+    d = Derivation.start(derivation.variant,
+                         KnowledgeBase(derivation.initial, derivation.ruleset),
+                         derivation.naming_mode)
+    yield d
+    for step in derivation.steps:
+        d = d.extend(step.trigger, check=False)
+        yield d
+
+
+def replay_order(derivation, order):
+    """Apply ``order`` from the derivation's start, skipping triggers whose
+    body does not embed (yet) or that were applied already."""
+    d = next(prefixes(derivation))
+    for t in order:
+        body = t.pi.apply(d.ruleset[t.rule_id].body)
+        if t not in d.applied and body <= d.factbase:
+            d = d.extend(t, check=False)
+    return d
+
+
+def fresh_index(atoms):
+    index = {}
+    for a in sorted_atoms(atoms):
+        index.setdefault((a.predicate, len(a.args)), []).append(a)
+    return index
+
+
+def breadth_first_runs(seed, count=25):
+    rng = random.Random(seed)
+    for i in range(count):
+        kb = random_kb(rng)
+        for variant in HEREDITARY:
+            yield i, variant, run_breadth_first(variant, kb, depth_cap=3, step_cap=30)
+
+
+def test_carried_index_matches_rebuild():
+    for i, variant, res in breadth_first_runs(31):
+        for d in prefixes(res.derivation):
+            assert d.factbase.index == fresh_index(d.factbase), (i, variant)
+
+
+def test_rank_triggers_match_rank_filter():
+    for i, variant, res in breadth_first_runs(32):
+        for d in prefixes(res.derivation):
+            every = enumerate_triggers(d.factbase, d.ruleset)
+            for kappa in range(0, d.depth() + 3):
+                want = [t for t in every if d.trigger_rank_of(t) == kappa]
+                assert rank_triggers(d, kappa) == want, (i, variant, kappa)
+
+
+def test_rank_candidates_match_oracle_at_rank_boundaries():
+    for i, variant, res in breadth_first_runs(33):
+        steps = res.derivation.steps
+        # The runner asks for the next rank after the last step of a rank;
+        # the final state counts only when the run exhausted it.
+        for n, d in enumerate(prefixes(res.derivation)):
+            if n == len(steps):
+                exhausted = res.halt_reason is HaltReason.TERMINATED
+            else:
+                exhausted = n == 0 or steps[n].trigger_rank != steps[n - 1].trigger_rank
+            if exhausted:
+                assert _rank_candidates(variant, d) == \
+                    oracle_rank_candidates(variant, d), (i, variant, n)
+
+
+def mutations(rng, derivation):
+    """The derivation with one step dropped and with two steps swapped."""
+    order = list(derivation.triggers())
+    if len(order) < 2:
+        return
+    drop = rng.randrange(len(order))
+    yield replay_order(derivation, order[:drop] + order[drop + 1:])
+    i, j = sorted(rng.sample(range(len(order)), 2))
+    order[i], order[j] = order[j], order[i]
+    yield replay_order(derivation, order)
+
+
+def assert_verify_matches_oracle(derivation, label):
+    for variant in HEREDITARY:
+        assert verify_derivation(variant, derivation) == \
+            oracle_verify_derivation(variant, derivation), (label, variant)
+
+
+def test_verify_matches_oracle_on_breadth_first_runs_and_mutations():
+    rng = random.Random(34)
+    for i, variant, res in breadth_first_runs(34):
+        assert_verify_matches_oracle(res.derivation, (i, variant))
+        for m in mutations(rng, res.derivation):
+            assert_verify_matches_oracle(m, (i, variant, "mutated"))
+
+
+def test_verify_matches_oracle_on_random_order_runs_and_mutations():
+    rng = random.Random(35)
+    for i in range(25):
+        kb = random_kb(rng)
+        for variant in HEREDITARY:
+            res = run_random_exhaustive(variant, kb, seed=i, step_cap=30)
+            assert_verify_matches_oracle(res.derivation, (i, variant))
+            for m in mutations(rng, res.derivation):
+                assert_verify_matches_oracle(m, (i, variant, "mutated"))
