@@ -64,7 +64,6 @@ from .rules import (
     Rule,
     RuleSet,
     derive_rule_metadata,
-    ruleset_stats,
     validate_kb,
 )
 from .terms import (

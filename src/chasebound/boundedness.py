@@ -116,9 +116,13 @@ def enumerate_representative_factbases(rs: RuleSet, max_atoms: int,
     deterministic order (size-ascending).
 
     Terms come from the rule constants plus a pool of generic constants large
-    enough for any factbase of that many atoms.  Candidates are generated so
-    that the generic constants used form a prefix of the pool, then
-    deduplicated through canonical forms.
+    enough for any factbase of that many atoms.  Candidates are sorted atom
+    tuples, generated in lexicographic order, whose generic constants first
+    appear in term order (restricted growth, as in orderly generation); the
+    isomorphic duplicates that still get through are dropped by canonical
+    form.  The first candidate of each class is its lexicographic minimum,
+    which always has restricted growth, so the pruning skips no class and
+    does not change its representative.
     """
     budget = budget or Budget()
     yield frozenset()
@@ -133,26 +137,36 @@ def enumerate_representative_factbases(rs: RuleSet, max_atoms: int,
 
     for n in range(1, max_atoms + 1):
         for m in range(0, min(len(pool), n * body_arity) + 1):
-            need = frozenset(pool[:m])
-            universe = _body_atom_universe(rs, consts + pool[:m])
+            generics = sorted(pool[:m], key=term_sort_key)
+            order = {c: i for i, c in enumerate(generics)}
+            universe = _body_atom_universe(rs, consts + generics)
+            # Per atom, the term-order ranks of its generic arguments, left
+            # to right.
+            ranks = [tuple(order[t] for t in a.args if t in order)
+                     for a in universe]
 
-            def emit(start: int, chosen: list[Atom], used: frozenset
+            def emit(start: int, chosen: list[Atom], used: int
                      ) -> Iterator[frozenset]:
+                # ``used``: the generics ``generics[:used]`` occur in
+                # ``chosen``, and no other.
                 budget.spend_step()
                 if len(chosen) == n:
-                    if used >= need:
+                    if used == m:
                         yield frozenset(chosen)
                     return
-                missing = len(need - used)
-                slots = (n - len(chosen)) * body_arity
-                if missing > slots:
+                if m - used > (n - len(chosen)) * body_arity:
                     return
                 for i in range(start, len(universe)):
-                    a = universe[i]
-                    yield from emit(i + 1, chosen + [a],
-                                    used | {t for t in a.args if t in need})
+                    grown = used
+                    for r in ranks[i]:
+                        if r == grown:
+                            grown += 1
+                        elif r > grown:
+                            break
+                    else:
+                        yield from emit(i + 1, chosen + [universe[i]], grown)
 
-            for candidate in emit(0, [], frozenset()):
+            for candidate in emit(0, [], 0):
                 key = canonical_form(candidate, fixed)
                 if key not in seen:
                     seen.add(key)
@@ -190,7 +204,7 @@ def search_factbase(variant: ChaseVariant, rs: RuleSet, k: int,
         if d.depth() >= k + 1:
             step = d.steps[-1]
             offending = min(step.produced, key=atom_sort_key)
-            minimized = frozenset(factbase & d.ancestors(step.trigger))
+            minimized = shrink_witness(factbase, d, step.trigger)
             return Witness(frozenset(factbase), d, offending, minimized), count
     return None, count
 

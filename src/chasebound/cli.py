@@ -114,7 +114,12 @@ def _cmd_kbounded(args, out, err) -> int:
 
 def _cmd_restrict(args, out, err) -> int:
     with open(args.trace, "r", encoding="utf-8") as fh:
-        derivation, _ = deserialize_trace(fh.read())
+        text = fh.read()
+    try:
+        derivation, _ = deserialize_trace(text)
+    except ReplayFailureError as exc:
+        print(f"replay: failed ({exc})", file=out)
+        return EXIT_NEGATIVE
     keep = load_keep_atoms(args.keep)
     unknown = keep - derivation.initial
     if unknown:

@@ -367,13 +367,14 @@ def is_applicable(variant: ChaseVariant, derivation: Derivation,
     if variant is ChaseVariant.SEMI_OBLIVIOUS:
         return not derivation.has_frontier_equal(rule, trigger.pi)
 
+    if variant is ChaseVariant.RESTRICTED and rule.is_datalog:
+        # No existential variables: the extension is the substitution itself.
+        return not trigger.pi.apply(rule.head) <= derivation.factbase
+
     extension = safe_extension(trigger, rule, derivation.naming_mode)
     head = extension.apply(rule.head)
 
     if variant is ChaseVariant.RESTRICTED:
-        if rule.is_datalog:
-            # The only candidate extension is the substitution itself.
-            return not head <= derivation.factbase
         # Only the fresh nulls of the head image may move; everything else
         # (frontier images, head constants) stays put.
         fresh = frozenset(extension.apply_term(z) for z in rule.existentials)

@@ -99,15 +99,6 @@ class RuleSet:
         return seen
 
 
-def ruleset_stats(rs: RuleSet) -> tuple[int, frozenset, frozenset]:
-    """Recompute (b, body_predicates, rule_constants) from scratch."""
-    b = max((len(r.body) for r in rs.rules), default=1)
-    preds = frozenset(a.predicate for r in rs.rules for a in r.body)
-    consts = frozenset(c for r in rs.rules
-                       for c in constants_of(r.body) | constants_of(r.head))
-    return b, preds, consts
-
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     factbase: frozenset

@@ -30,7 +30,11 @@ from chasebound import (
     serialize_trace,
     verify_derivation,
 )
+from chasebound.boundedness import _body_atom_universe, default_pool_size, generic_pool
+from chasebound.budget import Budget
 from chasebound.engine import HaltReason, breadth_first_completion, trigger_sort_key
+from chasebound.homomorphism import canonical_form
+from chasebound.terms import term_sort_key
 
 V = ChaseVariant
 
@@ -81,8 +85,11 @@ def random_kb(rng: random.Random, max_rules: int = 3, max_body: int = 2,
 
     # Ground an instantiation of the first rule's body so the KB is never
     # inert; pad with random facts up to the initial-size limit.
+    # Variables are drawn in name order, so a seed gives the same KB under
+    # every hash seed.
     grounding = Substitution({v: rng.choice(_CONSTS)
-                              for v in rules[0].body_vars})
+                              for v in sorted(rules[0].body_vars,
+                                              key=lambda v: v.name)})
     facts = set(grounding.apply(rules[0].body))
     while len(facts) < max_initial and rng.random() < 0.5:
         facts.add(rand_atom(_CONSTS))
@@ -95,7 +102,8 @@ def random_datalog_kb(rng: random.Random) -> KnowledgeBase:
     rules = []
     for rule in kb.ruleset:
         pool = sorted(rule.body_vars, key=lambda v: v.name) or [_CONSTS[0]]
-        fixes = {v: rng.choice(pool) for v in rule.existentials}
+        fixes = {v: rng.choice(pool)
+                 for v in sorted(rule.existentials, key=lambda v: v.name)}
         head = Substitution(fixes).apply(rule.head)
         rules.append(derive_rule_metadata(rule.rule_id, rule.body, head))
     return KnowledgeBase(kb.factbase, RuleSet(rules))
@@ -314,3 +322,50 @@ def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> V
     terminating = not oracle_applicable_new_triggers(variant, replay)
     return VerifyReport(valid, rank_compatible, rank_exhaustive, terminating,
                         violations[0] if violations else None)
+
+
+# -- unpruned reference for the representative-factbase enumeration ------------
+
+
+def oracle_representative_factbases(rs: RuleSet, max_atoms: int,
+                                    budget: Budget | None = None):
+    """Every labelled candidate whose generic constants are exactly a pool
+    prefix, in lexicographic order, deduplicated through canonical forms and
+    nothing else: the first candidate of each class is its representative."""
+    budget = budget or Budget()
+    yield frozenset()
+    if max_atoms < 1 or not rs.body_predicates:
+        return
+    pool = generic_pool(rs, default_pool_size(rs, max_atoms))
+    consts = sorted(rs.rule_constants, key=term_sort_key)
+    fixed = frozenset(consts)
+    arities = rs.arities()
+    body_arity = max(arities[p] for p in rs.body_predicates)
+    seen: set[bytes] = set()
+
+    for n in range(1, max_atoms + 1):
+        for m in range(0, min(len(pool), n * body_arity) + 1):
+            need = frozenset(pool[:m])
+            universe = _body_atom_universe(rs, consts + pool[:m])
+
+            def emit(start, chosen, used):
+                budget.spend_step()
+                if len(chosen) == n:
+                    if used >= need:
+                        yield frozenset(chosen)
+                    return
+                missing = len(need - used)
+                slots = (n - len(chosen)) * body_arity
+                if missing > slots:
+                    return
+                for i in range(start, len(universe)):
+                    a = universe[i]
+                    yield from emit(i + 1, chosen + [a],
+                                    used | {t for t in a.args if t in need})
+
+            for candidate in emit(0, [], frozenset()):
+                key = canonical_form(candidate, fixed)
+                if key not in seen:
+                    seen.add(key)
+                    budget.spend_item()
+                    yield candidate

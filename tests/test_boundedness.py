@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -82,6 +83,28 @@ def test_representative_factbases_cover_all_classes():
         matches = [rep for rep in reps if len(rep) == len(fb)
                    and is_isomorphic(fb, rep, renameable=ren)]
         assert len(matches) == 1  # every class covered exactly once
+
+
+def test_representative_factbases_match_unpruned_oracle():
+    # Restricted growth only skips candidates that are not the lexicographic
+    # minimum of their class, so the yielded sequence is the same, element
+    # for element, as the unpruned generator's.
+    from oracles import (oracle_representative_factbases, random_kb,
+                         random_single_rule_set)
+
+    cases = [("ex3_pair", load_example("ex3_pair").ruleset, 4),
+             ("ex3_single", load_example("ex3_single").ruleset, 4),
+             ("ex11", load_example("ex11").ruleset, 3),
+             # Rule constants on either side of the generic names.
+             ("constants",
+              parse_kb("p(h,X), q(X,zz) -> q(X,X).").kb.ruleset, 3)]
+    for seed in range(12):
+        rng = random.Random(seed)
+        cases.append((f"random_kb/{seed}", random_kb(rng).ruleset, 3))
+        cases.append((f"single_rule/{seed}", random_single_rule_set(rng), 3))
+    for name, rs, size in cases:
+        assert list(enumerate_representative_factbases(rs, size)) == \
+            list(oracle_representative_factbases(rs, size)), name
 
 
 # -- the decider ----------------------------------------------------------------

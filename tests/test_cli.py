@@ -190,14 +190,18 @@ def test_usage_error_unknown_subcommand():
     assert run_cli(["frobnicate"])[0] == 2
 
 
-def _verify_document(tmp_path, kb_file, mangle):
-    """Verify a ``run`` trace of ex4 after ``mangle`` rewrote its document."""
+def _mangled_trace(tmp_path, kb_file, mangle):
+    """A ``run`` trace of ex4 whose document ``mangle`` rewrote."""
     trace = tmp_path / "t.json"
     run_cli(["run", "--kb", kb_file("ex4"), "--variant", "r",
              "--trace", str(trace)])
     doc = mangle(json.loads(trace.read_text()))
     trace.write_text(json.dumps(doc), encoding="utf-8")
-    return run_cli(["verify", "--trace", str(trace)])
+    return str(trace)
+
+
+def _verify_document(tmp_path, kb_file, mangle):
+    return run_cli(["verify", "--trace", _mangled_trace(tmp_path, kb_file, mangle)])
 
 
 def test_verify_trace_without_variant_is_replay_failure(kb_file, tmp_path):
@@ -207,6 +211,18 @@ def test_verify_trace_without_variant_is_replay_failure(kb_file, tmp_path):
     code, out, _ = _verify_document(tmp_path, kb_file, drop_variant)
     assert code == 1
     assert out.startswith("replay: failed (") and '"variant"' in out
+
+
+def test_restrict_trace_without_variant_is_replay_failure(kb_file, tmp_path):
+    def drop_variant(doc):
+        del doc["variant"]
+        return doc
+    trace = _mangled_trace(tmp_path, kb_file, drop_variant)
+    code, out, _ = run_cli(["restrict", "--trace", trace, "--keep", "p(a,b)",
+                            "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert out.startswith("replay: failed (") and '"variant"' in out
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_step_substitution_list_is_replay_failure(kb_file, tmp_path):

@@ -150,3 +150,51 @@ def test_not_applicable_raises_on_checked_extend():
     d = Derivation.start(V.RESTRICTED, kb)
     with pytest.raises(NotApplicableError):
         d.extend(trig(kb.ruleset, "R1", {"X": a, "Y": a}))
+
+
+def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
+    # For a datalog rule the restricted check compares pi(head) with the
+    # factbase directly; the extension path it skips must give the same
+    # verdict on every trigger and the same traces.
+    import random
+
+    import chasebound.engine as engine
+    from chasebound import (BoundedQuery, check_k_bounded, run_breadth_first,
+                            serialize_trace)
+    from oracles import random_datalog_kb, random_kb
+
+    fast = engine.is_applicable
+
+    def extension_path(variant, d, t):
+        verdict = fast(variant, d, t)
+        rule = d._rule(t)
+        if variant is V.RESTRICTED and rule.is_datalog and t not in d.applied:
+            head = safe_extension(t, rule, d.naming_mode).apply(rule.head)
+            return not head <= d.factbase
+        return verdict
+
+    kbs = [random_datalog_kb(random.Random(seed)) for seed in range(20)]
+    # A mixed ruleset (datalog and existential rules) with a rule constant.
+    mixed = next(kb for kb in (random_kb(random.Random(seed)) for seed in range(100))
+                 if kb.ruleset.rule_constants
+                 and any(r.is_datalog for r in kb.ruleset)
+                 and not all(r.is_datalog for r in kb.ruleset))
+    kbs.append(mixed)
+    assert any(kb.ruleset.rule_constants for kb in kbs[:-1])
+
+    def runs():
+        traces = []
+        for kb in kbs:
+            res = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40)
+            traces.append(serialize_trace(res.derivation, res.halt_reason))
+        verdict = check_k_bounded(
+            BoundedQuery(load_example("ex3_single").ruleset, V.RESTRICTED, 1))
+        return traces, verdict.bounded, verdict.witness.derivation.triggers()
+
+    expected = runs()
+    for kb in kbs:
+        d = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40).derivation
+        for t in enumerate_triggers(d.factbase, d.ruleset):
+            assert fast(V.RESTRICTED, d, t) == extension_path(V.RESTRICTED, d, t)
+    monkeypatch.setattr(engine, "is_applicable", extension_path)
+    assert runs() == expected

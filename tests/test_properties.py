@@ -130,3 +130,30 @@ def test_homomorphism_kernel_against_brute_force():
         want = {s.restrict(rule.body_vars)
                 for s in brute_force_homomorphisms(rule.body, kb.factbase)}
         assert got == want, i
+
+
+def test_random_kbs_do_not_depend_on_the_hash_seed():
+    # A seed must give the same KBs in every interpreter, whatever its
+    # string-hash seed, so that a failing seeded property test reproduces.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import random\n"
+        "from oracles import random_datalog_kb, random_kb\n"
+        "for seed in range(8):\n"
+        "    for make in (random_kb, random_datalog_kb):\n"
+        "        kb = make(random.Random(seed))\n"
+        "        print(sorted(str(a) for a in kb.factbase))\n"
+        "        print([str(r) for r in kb.ruleset])\n")
+    path = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+    outputs = []
+    for hashseed in ("1", "2", "31337"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]

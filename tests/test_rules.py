@@ -9,7 +9,6 @@ from chasebound import (
     derive_rule_metadata,
     find_homomorphism,
     parse_kb,
-    ruleset_stats,
     validate_kb,
 )
 from chasebound.errors import EmptyBodyError, EmptyHeadError
@@ -55,10 +54,9 @@ def test_empty_parts_rejected():
 
 def test_ruleset_stats_on_examples():
     ex3 = load_example("ex3_pair").ruleset
-    b, preds, consts = ruleset_stats(ex3)
-    assert b == 2 and ex3.b == 2
-    assert preds == {"p"}
-    assert consts == frozenset()
+    assert ex3.b == 2
+    assert ex3.body_predicates == {"p"}
+    assert ex3.rule_constants == frozenset()
 
     single = load_example("ex2_k1").ruleset
     assert single.b == 1
