@@ -222,16 +222,17 @@ def _certify(q: BoundedQuery, witness: Witness) -> None:
             f"minimized witness exceeds the ancestor bound b^(k+1) = {bound}")
 
 
-def _scan_chunk(args) -> tuple[Optional[int], Optional[Witness], int]:
+def _scan_chunk(args) -> tuple[Optional[int], Optional[Witness], dict[int, int]]:
+    """Search a chunk's factbases in index order up to the first witness;
+    returns its index, the witness and the derivation count per factbase."""
     variant, rs, k, max_ms, max_steps, indexed = args
     budget = Budget(max_ms=max_ms, max_steps=max_steps)
-    examined = 0
+    counts: dict[int, int] = {}
     for idx, fb in indexed:
-        witness, nder = search_factbase(variant, rs, k, fb, budget)
-        examined += nder
+        witness, counts[idx] = search_factbase(variant, rs, k, fb, budget)
         if witness is not None:
-            return idx, witness, examined
-    return None, None, examined
+            return idx, witness, counts
+    return None, None, counts
 
 
 def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
@@ -268,17 +269,21 @@ def _check_parallel(q: BoundedQuery, jobs: int) -> BoundednessVerdict:
     chunks = [list(enumerate(factbases))[i::jobs] for i in range(jobs)]
     work = [(q.variant, q.ruleset, q.k, q.max_ms, q.max_search_steps, chunk)
             for chunk in chunks]
-    results: list[tuple[Optional[int], Optional[Witness], int]] = []
+    counts: dict[int, int] = {}
+    hits = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for res in pool.map(_scan_chunk, work):
-            results.append(res)
-    examined = sum(nder for _, _, nder in results)
-    hits = [(idx, w) for idx, w, _ in results if idx is not None]
+        for idx, witness, chunk_counts in pool.map(_scan_chunk, work):
+            counts.update(chunk_counts)
+            if idx is not None:
+                hits.append((idx, witness))
     if hits:
-        _, witness = min(hits, key=lambda p: p[0])
+        # Each chunk stops at or after the lowest witness index, so every
+        # factbase up to it was searched: report what --jobs 1 reports.
+        idx, witness = min(hits, key=lambda p: p[0])
         _certify(q, witness)
-        return BoundednessVerdict(False, witness, len(factbases), examined)
-    return BoundednessVerdict(True, None, len(factbases), examined)
+        return BoundednessVerdict(False, witness, idx + 1,
+                                  sum(n for i, n in counts.items() if i <= idx))
+    return BoundednessVerdict(True, None, len(factbases), sum(counts.values()))
 
 
 def shrink_witness(factbase: frozenset, derivation: Derivation,

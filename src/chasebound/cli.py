@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / bounded / terminated; 1 expected negative result
 (not bounded, cap reached, verification report with violations); 2 usage or
-parse error; 3 budget exceeded; 4 internal verification failure.
+parse error; 3 budget exceeded; 4 internal verification failure or any
+other unexpected exception.
 """
 
 from __future__ import annotations
@@ -112,13 +113,21 @@ def _cmd_kbounded(args, out, err) -> int:
     return EXIT_OK if verdict.bounded else EXIT_NEGATIVE
 
 
-def _cmd_restrict(args, out, err) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fh:
+def _load_trace(path: str, out):
+    """The derivation a trace file records, or None after reporting why it
+    does not replay."""
+    with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        derivation, _ = deserialize_trace(text)
+        return deserialize_trace(text)[0]
     except ReplayFailureError as exc:
         print(f"replay: failed ({exc})", file=out)
+        return None
+
+
+def _cmd_restrict(args, out, err) -> int:
+    derivation = _load_trace(args.trace, out)
+    if derivation is None:
         return EXIT_NEGATIVE
     keep = load_keep_atoms(args.keep)
     unknown = keep - derivation.initial
@@ -138,12 +147,8 @@ def _cmd_restrict(args, out, err) -> int:
 
 
 def _cmd_verify(args, out, err) -> int:
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        derivation, _ = deserialize_trace(text)
-    except ReplayFailureError as exc:
-        print(f"replay: failed ({exc})", file=out)
+    derivation = _load_trace(args.trace, out)
+    if derivation is None:
         return EXIT_NEGATIVE
     report = verify_derivation(derivation.variant, derivation)
     print(f"variant: {derivation.variant.value}", file=out)
@@ -223,6 +228,10 @@ def cli(argv: Optional[list[str]] = None, out=None, err=None) -> int:
     except (ChaseError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
+    except Exception as exc:
+        # Any other exception is a bug; report it by type, without a traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=err)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

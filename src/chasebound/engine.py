@@ -57,7 +57,6 @@ from .terms import (
     Substitution,
     TriggerKey,
     sorted_atoms,
-    term_sort_key,
 )
 
 
@@ -93,8 +92,7 @@ class Trigger:
 
 
 def trigger_sort_key(rs: RuleSet, t: Trigger) -> tuple:
-    return (rs.index_of(t.rule_id),
-            tuple((term_sort_key(k), term_sort_key(v)) for k, v in t.pi.items()))
+    return rs.index_of(t.rule_id), t.pi.sort_key()
 
 
 def frontier_image(rule: Rule, pi: Substitution) -> tuple:
@@ -174,9 +172,6 @@ class Derivation:
 
     def triggers(self) -> tuple:
         return tuple(s.trigger for s in self.steps)
-
-    def producer_of(self, a: Atom) -> Optional[Trigger]:
-        return self._producer.get(a)
 
     def ancestors(self, target: Union[Atom, Trigger]) -> frozenset:
         """Transitive closure of the direct-ancestor relation.
@@ -590,8 +585,7 @@ class ChaseResult:
 
 def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
                       policy: str = "det", seed: Optional[int] = None,
-                      depth_cap: int = 1_000_000, step_cap: int = 1_000_000,
-                      naming_mode: Optional[NamingMode] = None) -> ChaseResult:
+                      depth_cap: int = 1_000_000, step_cap: int = 1_000_000) -> ChaseResult:
     """Build one breadth-first derivation.
 
     Triggers of the current rank are applied in policy order (deterministic or
@@ -603,7 +597,7 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     if depth_cap < 1 or step_cap < 1:
         raise ChaseError("caps must be >= 1")
     rng = random.Random(seed) if policy == "random" else None
-    d = Derivation.start(variant, kb, naming_mode)
+    d = Derivation.start(variant, kb)
     while True:
         kappa, candidates = _rank_candidates(variant, d)
         if kappa is None:
@@ -629,8 +623,7 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
 
 def enumerate_breadth_first_derivations(
         variant: ChaseVariant, kb: KnowledgeBase, depth_target: int,
-        budget: Optional[Budget] = None, dedup_states: bool = False,
-        naming_mode: Optional[NamingMode] = None) -> Iterator[Derivation]:
+        budget: Optional[Budget] = None, dedup_states: bool = False) -> Iterator[Derivation]:
     """Depth-first search over per-rank trigger orderings.
 
     Yields each branch when it either terminates or creates a new atom of rank
@@ -675,19 +668,18 @@ def enumerate_breadth_first_derivations(
             else:
                 yield from explore(d2, kappa, candidates)
 
-    yield from explore(Derivation.start(variant, kb, naming_mode), None, [])
+    yield from explore(Derivation.start(variant, kb), None, [])
 
 
 def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,
-                          seed: int, step_cap: int = 200,
-                          naming_mode: Optional[NamingMode] = None) -> ChaseResult:
+                          seed: int, step_cap: int = 200) -> ChaseResult:
     """Fair random-order run: picks any applicable trigger, not rank-first.
 
     A run that stops because nothing is applicable is exhaustive, hence
     terminating; useful for exercising the reordering propositions.
     """
     rng = random.Random(seed)
-    d = Derivation.start(variant, kb, naming_mode)
+    d = Derivation.start(variant, kb)
     while len(d.steps) < step_cap:
         apps = [t for _, t in _applicable_new_triggers(variant, d)]
         if not apps:

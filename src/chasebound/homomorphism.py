@@ -28,7 +28,6 @@ from .terms import (
     Variable,
     atom_sort_key,
     sorted_atoms,
-    term_sort_key,
 )
 
 def predicate_key(a: Atom) -> tuple[str, int]:
@@ -167,8 +166,7 @@ def all_homomorphisms(source: frozenset, target: frozenset,
     subs = [Substitution(r) for r in results]
     for sub in subs:
         _assert_sound(sub, source, target, frozen)
-    return sorted(subs, key=lambda s: tuple((term_sort_key(k), term_sort_key(v))
-                                            for k, v in s.items()))
+    return sorted(subs, key=Substitution.sort_key)
 
 
 def positional_homomorphisms(source: Sequence[Atom],

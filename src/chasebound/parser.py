@@ -36,15 +36,11 @@ from .terms import (
 
 
 class ParseError(ChaseError):
-    def __init__(self, message: str, line: int, column: int, source_line: str = ""):
+    def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
         self.message = message
         self.line = line
         self.column = column
-        self.source_line = source_line
-
-    def caret(self) -> str:
-        return f"{self.source_line}\n{' ' * (self.column - 1)}^"
 
 
 @dataclass(frozen=True)
@@ -102,15 +98,13 @@ def _tokenize(text: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        raise ParseError(f"unexpected character {c!r}", line, col,
-                         text.splitlines()[line - 1] if text.splitlines() else "")
+        raise ParseError(f"unexpected character {c!r}", line, col)
     tokens.append(Token("EOF", "", line, col))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -124,8 +118,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Optional[Token] = None) -> ParseError:
         tok = tok or self.peek()
-        src = self.lines[tok.line - 1] if 0 < tok.line <= len(self.lines) else ""
-        return ParseError(message, tok.line, tok.column, src)
+        return ParseError(message, tok.line, tok.column)
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()

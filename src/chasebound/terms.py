@@ -6,8 +6,10 @@ re-creates the identical null, which is what makes replay bit-exact.
 
 Nulls are interned and atoms cache their hash: provenances nest (a null's key
 can contain earlier nulls), so recomputing hashes or serialized forms on every
-set operation would blow up on deep derivations.  Ordering is likewise done by
-a structural comparator instead of comparing serialized strings.
+set operation would blow up on deep derivations.  Terms order by plain tuple
+keys (``term_sort_key``), never by serialized strings; a null's key nests the
+keys of the terms in its provenance, so it is built once, at interning, and
+cached.
 """
 
 from __future__ import annotations
@@ -74,10 +76,26 @@ class GeneratedNull:
 NullProvenance = Union[InitialNull, GeneratedNull]
 
 
+class _NullKey(tuple):
+    """A null's sort key.  Nulls are interned and each builds its key once, so
+    equal keys are the same object; identity equality lets tuple comparison
+    skip equal sub-provenances instead of walking them at every level."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
+
+    __hash__ = object.__hash__
+
+
 class Null:
     """Interned labelled unknown; two nulls are equal iff their provenances are."""
 
-    __slots__ = ("provenance", "_hash", "_str", "depth")
+    __slots__ = ("provenance", "_hash", "_str", "depth", "_key")
     _interned: dict = {}
 
     def __new__(cls, provenance: NullProvenance) -> "Null":
@@ -90,12 +108,17 @@ class Null:
         self._str = None
         if isinstance(provenance, InitialNull):
             self.depth = 0
+            self._key = _NullKey((2, 0, 0, provenance.label))
         else:
             key = provenance.key
-            inner = key.images if isinstance(key, FrontierKey) else \
-                tuple(t for _, t in key.items)
+            frontier = isinstance(key, FrontierKey)
+            inner = key.images if frontier else tuple(t for _, t in key.items)
             self.depth = 1 + max((t.depth for t in inner if isinstance(t, Null)),
                                  default=0)
+            children = [term_sort_key(t) for t in inner] if frontier else \
+                [x for name, t in key.items for x in (name, term_sort_key(t))]
+            self._key = _NullKey((2, self.depth, 1, provenance.rule_id, provenance.exvar,
+                                  int(frontier), len(inner), *children))
         cls._interned[provenance] = self
         return self
 
@@ -130,103 +153,18 @@ class Null:
 Term = Union[Constant, Variable, Null]
 
 
-_KIND_ORDER = {Constant: 0, Variable: 1, Null: 2}
-
-
-def _cmp_str(a: str, b: str) -> int:
-    return -1 if a < b else (1 if a > b else 0)
-
-
-def term_cmp(a: Term, b: Term) -> int:
+def term_sort_key(term: Term) -> tuple:
     """Deterministic total order over terms: constants < variables < nulls.
 
-    Nulls are compared structurally, never through their serialized form;
-    nesting depth is compared before descending into provenance keys so that
-    chains of nested nulls order in constant time.
+    Nulls order by depth, then initial before generated, then rule id,
+    existential variable, key kind (trigger before frontier), key length and
+    the keys of the inner terms.  A null's key is the one cached at interning.
     """
-    if a is b:
-        return 0
-    ta, tb = type(a), type(b)
-    if ta is not tb:
-        ka, kb = _KIND_ORDER[ta], _KIND_ORDER[tb]
-        return -1 if ka < kb else 1
-    if ta is Constant:
-        return _cmp_str(a.name, b.name)
-    if ta is Variable:
-        c = _cmp_str(a.name, b.name)
-        return c if c else _cmp_str(a.scope or "", b.scope or "")
-    if a.depth != b.depth:
-        return -1 if a.depth < b.depth else 1
-    return _null_cmp(a.provenance, b.provenance)
-
-
-def _null_cmp(p: NullProvenance, q: NullProvenance) -> int:
-    pi, qi = isinstance(p, InitialNull), isinstance(q, InitialNull)
-    if pi != qi:
-        return -1 if pi else 1
-    if pi:
-        return _cmp_str(p.label, q.label)
-    c = _cmp_str(p.rule_id, q.rule_id)
-    if c:
-        return c
-    c = _cmp_str(p.exvar, q.exvar)
-    if c:
-        return c
-    pk, qk = p.key, q.key
-    pt, qt = isinstance(pk, FrontierKey), isinstance(qk, FrontierKey)
-    if pt != qt:
-        return -1 if not pt else 1
-    if pt:
-        if len(pk.images) != len(qk.images):
-            return -1 if len(pk.images) < len(qk.images) else 1
-        for x, y in zip(pk.images, qk.images):
-            c = term_cmp(x, y)
-            if c:
-                return c
-        return 0
-    if len(pk.items) != len(qk.items):
-        return -1 if len(pk.items) < len(qk.items) else 1
-    for (n1, t1), (n2, t2) in zip(pk.items, qk.items):
-        c = _cmp_str(n1, n2)
-        if c:
-            return c
-        c = term_cmp(t1, t2)
-        if c:
-            return c
-    return 0
-
-
-class TermKey:
-    """Sort key wrapper: orders terms via term_cmp."""
-
-    __slots__ = ("term",)
-
-    def __init__(self, term: Term):
-        self.term = term
-
-    def __lt__(self, other: "TermKey") -> bool:
-        return term_cmp(self.term, other.term) < 0
-
-    def __le__(self, other: "TermKey") -> bool:
-        return term_cmp(self.term, other.term) <= 0
-
-    def __gt__(self, other: "TermKey") -> bool:
-        return term_cmp(self.term, other.term) > 0
-
-    def __ge__(self, other: "TermKey") -> bool:
-        return term_cmp(self.term, other.term) >= 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TermKey):
-            return NotImplemented
-        return self.term is other.term or term_cmp(self.term, other.term) == 0
-
-    def __hash__(self) -> int:
-        return hash(self.term)
-
-
-def term_sort_key(term: Term) -> TermKey:
-    return TermKey(term)
+    if type(term) is Null:
+        return term._key
+    if type(term) is Constant:
+        return (0, term.name)
+    return (1, term.name, term.scope or "")
 
 
 class Atom:
@@ -265,7 +203,7 @@ class Atom:
     def sort_key(self) -> tuple:
         if self._key is None:
             self._key = (self.predicate, len(self.args),
-                         tuple(TermKey(t) for t in self.args))
+                         tuple(term_sort_key(t) for t in self.args))
         return self._key
 
 
@@ -275,11 +213,6 @@ def atom(predicate: str, *args: Term) -> Atom:
 
 def atom_sort_key(a: Atom) -> tuple:
     return a.sort_key()
-
-
-# A factbase / rule part is a plain frozenset of atoms: set semantics make
-# re-insertion a no-op, which keeps atom ranks well defined by first production.
-AtomSet = frozenset
 
 
 def sorted_atoms(atoms: Iterable[Atom]) -> list[Atom]:
@@ -318,7 +251,7 @@ class Substitution:
             if isinstance(k, Constant):
                 raise ValueError(f"constant {k} cannot be in a substitution domain")
         self._map = items
-        self._key = tuple(sorted(items.items(), key=lambda kv: TermKey(kv[0])))
+        self._key = tuple(sorted(items.items(), key=lambda kv: term_sort_key(kv[0])))
         self._hash = hash(self._key)
 
     def __reduce__(self):
@@ -345,11 +278,12 @@ class Substitution:
     def items(self) -> Iterator[tuple[Term, Term]]:
         return iter(self._key)
 
+    def sort_key(self) -> tuple:
+        """Orders substitutions by their (domain, image) key pairs in domain order."""
+        return tuple((term_sort_key(k), term_sort_key(v)) for k, v in self._key)
+
     def domain(self) -> frozenset:
         return frozenset(self._map)
-
-    def get(self, term: Term, default: Term | None = None) -> Term | None:
-        return self._map.get(term, default)
 
     def apply_term(self, term: Term) -> Term:
         return self._map.get(term, term)
@@ -370,5 +304,3 @@ class Substitution:
         merged.update(extra)
         return Substitution(merged)
 
-
-EMPTY_SUBSTITUTION = Substitution()

@@ -15,7 +15,10 @@ from chasebound import (
     ChaseVariant,
     Constant,
     Derivation,
+    FrontierKey,
+    InitialNull,
     KnowledgeBase,
+    Null,
     RuleSet,
     Substitution,
     UnknownTriggerError,
@@ -37,6 +40,63 @@ from chasebound.homomorphism import canonical_form
 from chasebound.terms import term_sort_key
 
 V = ChaseVariant
+
+
+# -- structural reference for the term order ------------------------------------
+
+_KIND_ORDER = {Constant: 0, Variable: 1, Null: 2}
+
+
+def _cmp_str(a: str, b: str) -> int:
+    return -1 if a < b else (1 if a > b else 0)
+
+
+def oracle_term_cmp(a, b) -> int:
+    """Three-way comparator defining the term order ``term_sort_key`` encodes:
+    constants < variables < nulls; nulls by depth, then structurally."""
+    if a is b:
+        return 0
+    ta, tb = type(a), type(b)
+    if ta is not tb:
+        return -1 if _KIND_ORDER[ta] < _KIND_ORDER[tb] else 1
+    if ta is Constant:
+        return _cmp_str(a.name, b.name)
+    if ta is Variable:
+        c = _cmp_str(a.name, b.name)
+        return c if c else _cmp_str(a.scope or "", b.scope or "")
+    if a.depth != b.depth:
+        return -1 if a.depth < b.depth else 1
+    return _oracle_null_cmp(a.provenance, b.provenance)
+
+
+def _oracle_null_cmp(p, q) -> int:
+    pi, qi = isinstance(p, InitialNull), isinstance(q, InitialNull)
+    if pi != qi:
+        return -1 if pi else 1
+    if pi:
+        return _cmp_str(p.label, q.label)
+    c = _cmp_str(p.rule_id, q.rule_id) or _cmp_str(p.exvar, q.exvar)
+    if c:
+        return c
+    pk, qk = p.key, q.key
+    pt, qt = isinstance(pk, FrontierKey), isinstance(qk, FrontierKey)
+    if pt != qt:
+        return -1 if not pt else 1
+    if pt:
+        if len(pk.images) != len(qk.images):
+            return -1 if len(pk.images) < len(qk.images) else 1
+        for x, y in zip(pk.images, qk.images):
+            c = oracle_term_cmp(x, y)
+            if c:
+                return c
+        return 0
+    if len(pk.items) != len(qk.items):
+        return -1 if len(pk.items) < len(qk.items) else 1
+    for (n1, t1), (n2, t2) in zip(pk.items, qk.items):
+        c = _cmp_str(n1, n2) or oracle_term_cmp(t1, t2)
+        if c:
+            return c
+    return 0
 
 
 def brute_force_homomorphisms(source, target, frozen=frozenset()):

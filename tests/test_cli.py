@@ -186,6 +186,29 @@ def test_kbounded_jobs_flag(tmp_path):
     assert "bounded: true" in out
 
 
+@pytest.mark.parametrize("name", ["ex3_single", "ex10", "ex8"])
+def test_kbounded_jobs_prints_the_sequential_report(name):
+    for variant in ("o", "so", "r"):
+        argv = ["kbounded", "--rules", str(FIXTURES / f"{name}.dlp"),
+                "--variant", variant, "--k", "1"]
+        assert run_cli(argv + ["--jobs", "2"])[:2] == run_cli(argv)[:2]
+
+
+def test_unexpected_exception_exits_4_without_traceback(tmp_path):
+    name = "a"
+    for _ in range(700):
+        name = f"_:R1#{{X:{name}}}#Z"
+    kb = tmp_path / "deep.dlp"
+    kb.write_text(f"p({name}).\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "chasebound.cli", "run", "--kb", str(kb), "--variant", "o"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "internal error: RecursionError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_error_unknown_subcommand():
     assert run_cli(["frobnicate"])[0] == 2
 

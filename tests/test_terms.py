@@ -1,7 +1,12 @@
+import random
+from functools import cmp_to_key
+
 import pytest
 
 from chasebound import (
+    ChaseVariant,
     Constant,
+    FrontierKey,
     GeneratedNull,
     InitialNull,
     Null,
@@ -9,7 +14,13 @@ from chasebound import (
     TriggerKey,
     Variable,
     atom,
+    parse_kb,
+    run_breadth_first,
 )
+from chasebound.terms import term_sort_key
+
+from conftest import EXAMPLE_SOURCES, load_example
+from oracles import oracle_term_cmp, random_kb
 
 a, b = Constant("a"), Constant("b")
 x, y = Variable("x"), Variable("y")
@@ -78,3 +89,43 @@ def test_substitution_restrict_and_extend():
     assert s.restrict([x]) == Substitution({x: a})
     assert s.extended({y: a}) == Substitution({x: a, y: a})
     assert s.apply_term(Variable("z")) == Variable("z")
+
+
+def _run_terms(variant, kb, depth_cap, step_cap):
+    d = run_breadth_first(variant, kb, depth_cap=depth_cap, step_cap=step_cap).derivation
+    terms = {t for a in d.factbase for t in a.args}
+    for step in d.steps:
+        for k, v in step.trigger.pi.items():
+            terms.update((k, v))
+    return terms
+
+
+def test_term_sort_key_matches_structural_oracle():
+    # Every variant on every example, so trigger- and frontier-keyed nulls of
+    # the same rule and depth meet; seeded random KBs; and two parallel chains
+    # whose equally deep nulls differ only at the bottom.
+    terms = set()
+    for name in EXAMPLE_SOURCES:
+        for variant in ChaseVariant:
+            terms |= _run_terms(variant, load_example(name), 4, 40)
+    rng = random.Random(7)
+    for _ in range(30):
+        kb = random_kb(rng)
+        for variant in ChaseVariant:
+            terms |= _run_terms(variant, kb, 3, 30)
+    chains = parse_kb("human(alice). human(bob). human(X) -> parent(Y,X), human(Y).").kb
+    terms |= _run_terms(ChaseVariant.RESTRICTED, chains, 60, 200)
+    assert max(t.depth for t in terms if isinstance(t, Null)) >= 50
+    assert any(isinstance(t, Null) and isinstance(t.provenance.key, FrontierKey)
+               for t in terms)
+
+    pool = sorted(terms, key=str)
+    rng.shuffle(pool)
+    assert sorted(pool, key=term_sort_key) == sorted(pool, key=cmp_to_key(oracle_term_cmp))
+    for _ in range(20_000):
+        s, t = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.05:
+            t = s
+        ks, kt = term_sort_key(s), term_sort_key(t)
+        assert (ks < kt) == (oracle_term_cmp(s, t) < 0), (s, t)
+        assert (ks == kt) == (s == t) == (not ks < kt and not kt < ks), (s, t)
