@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .budget import Budget
 from .engine import (
@@ -222,17 +222,29 @@ def _certify(q: BoundedQuery, witness: Witness) -> None:
             f"minimized witness exceeds the ancestor bound b^(k+1) = {bound}")
 
 
-def _scan_chunk(args) -> tuple[Optional[int], Optional[Witness], dict[int, int]]:
-    """Search a chunk's factbases in index order up to the first witness;
-    returns its index, the witness and the derivation count per factbase."""
-    variant, rs, k, max_ms, max_steps, indexed = args
-    budget = Budget(max_ms=max_ms, max_steps=max_steps)
-    counts: dict[int, int] = {}
-    for idx, fb in indexed:
-        witness, counts[idx] = search_factbase(variant, rs, k, fb, budget)
+def _first_witness(q: BoundedQuery, factbases: Iterable[frozenset], budget: Budget
+                   ) -> tuple[Optional[Witness], list[int]]:
+    """Search the factbases in order up to the first witness; returns it (or
+    None) and the derivation count of each factbase searched."""
+    counts: list[int] = []
+    for fb in factbases:
+        witness, n = search_factbase(q.variant, q.ruleset, q.k, fb, budget)
+        counts.append(n)
         if witness is not None:
-            return idx, witness, counts
-    return None, None, counts
+            return witness, counts
+    return None, counts
+
+
+def _verdict(q: BoundedQuery, witness: Optional[Witness],
+             counts: list[int]) -> BoundednessVerdict:
+    if witness is not None:
+        _certify(q, witness)
+    return BoundednessVerdict(witness is None, witness, len(counts), sum(counts))
+
+
+def _scan_chunk(args) -> tuple[Optional[Witness], list[int]]:
+    q, factbases = args
+    return _first_witness(q, factbases, q.budget())
 
 
 def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
@@ -241,49 +253,37 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     Not bounded iff some factbase admits a breadth-first derivation creating a
     new atom of rank k+1; the search stops at the first such atom, which is a
     certificate of depth >= k+1.  The witness is re-verified before returning.
+
+    With ``jobs`` > 1 the factbases are dealt round-robin to that many worker
+    processes, each with its own budget.  The first witness by factbase index
+    wins, so neither the verdict nor the counters depend on scheduling.
     """
+    if jobs < 1:
+        raise ChaseError("jobs must be >= 1")
     budget = q.budget()
-    factbases_examined = 0
-    derivations_examined = 0
-
-    if jobs > 1:
-        return _check_parallel(q, jobs)
-
-    for fb in enumerate_representative_factbases(q.ruleset, q.max_atoms, budget):
-        factbases_examined += 1
-        witness, nder = search_factbase(q.variant, q.ruleset, q.k, fb, budget)
-        derivations_examined += nder
-        if witness is not None:
-            _certify(q, witness)
-            return BoundednessVerdict(False, witness,
-                                      factbases_examined, derivations_examined)
-    return BoundednessVerdict(True, None, factbases_examined, derivations_examined)
-
-
-def _check_parallel(q: BoundedQuery, jobs: int) -> BoundednessVerdict:
-    # Factbases are independent work items; first witness by deterministic
-    # index wins, so the verdict does not depend on scheduling.
-    budget = q.budget()
-    factbases = list(enumerate_representative_factbases(q.ruleset, q.max_atoms,
-                                                        budget))
-    chunks = [list(enumerate(factbases))[i::jobs] for i in range(jobs)]
-    work = [(q.variant, q.ruleset, q.k, q.max_ms, q.max_search_steps, chunk)
-            for chunk in chunks]
-    counts: dict[int, int] = {}
-    hits = []
+    factbases = enumerate_representative_factbases(q.ruleset, q.max_atoms, budget)
+    if jobs == 1:
+        return _verdict(q, *_first_witness(q, factbases, budget))
+    factbases = list(factbases)
+    jobs = min(jobs, len(factbases))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for idx, witness, chunk_counts in pool.map(_scan_chunk, work):
-            counts.update(chunk_counts)
-            if idx is not None:
-                hits.append((idx, witness))
-    if hits:
-        # Each chunk stops at or after the lowest witness index, so every
-        # factbase up to it was searched: report what --jobs 1 reports.
-        idx, witness = min(hits, key=lambda p: p[0])
-        _certify(q, witness)
-        return BoundednessVerdict(False, witness, idx + 1,
-                                  sum(n for i, n in counts.items() if i <= idx))
-    return BoundednessVerdict(True, None, len(factbases), sum(counts.values()))
+        results = list(pool.map(_scan_chunk,
+                                [(q, factbases[j::jobs]) for j in range(jobs)]))
+    # Chunk j holds factbases j, j + jobs, ...  Each chunk stops at or after
+    # the lowest witness index, so every factbase up to it was searched:
+    # report what a single job reports.
+    counts = [0] * len(factbases)
+    hits = []
+    for j, (witness, chunk_counts) in enumerate(results):
+        searched = range(j, len(factbases), jobs)[:len(chunk_counts)]
+        for i, n in zip(searched, chunk_counts):
+            counts[i] = n
+        if witness is not None:
+            hits.append((searched[-1], witness))
+    if not hits:
+        return _verdict(q, None, counts)
+    idx, witness = min(hits, key=lambda h: h[0])
+    return _verdict(q, witness, counts[:idx + 1])
 
 
 def shrink_witness(factbase: frozenset, derivation: Derivation,
@@ -305,14 +305,5 @@ def oracle_check_k_bounded(q: BoundedQuery, extended_pool: int) -> BoundednessVe
         raise ChaseError(
             f"oracle pool must exceed the default pool size {default}")
     budget = q.budget()
-    factbases_examined = 0
-    derivations_examined = 0
-    for fb in all_small_factbases(q.ruleset, q.max_atoms, extended_pool, budget):
-        factbases_examined += 1
-        witness, nder = search_factbase(q.variant, q.ruleset, q.k, fb, budget)
-        derivations_examined += nder
-        if witness is not None:
-            _certify(q, witness)
-            return BoundednessVerdict(False, witness,
-                                      factbases_examined, derivations_examined)
-    return BoundednessVerdict(True, None, factbases_examined, derivations_examined)
+    factbases = all_small_factbases(q.ruleset, q.max_atoms, extended_pool, budget)
+    return _verdict(q, *_first_witness(q, factbases, budget))

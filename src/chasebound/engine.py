@@ -9,15 +9,15 @@ per-predicate index, so homomorphism searches against it never re-index.
 
 A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
 rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
-atom of rank κ-1: the semi-naive delta.  ``rank_triggers`` enumerates exactly
-those, and the breadth-first runner, the decider's derivation search, the
-breadth-first completion and ``verify_derivation`` work rank by rank through
-it.  This is exact for the oblivious, semi-oblivious and restricted chases
-because their non-applicability is monotone: a trigger that is not applicable
-stays so as the derivation grows, so once a rank is exhausted no lower rank
-needs another look.  The equivalent chase is not monotone (a trigger can wake
-up again), so it, the random-order runner and the verification of
-non-rank-compatible derivations keep the full scan ``enumerate_triggers``.
+atom of rank κ-1: the semi-naive delta.  Rank is structural, so
+``rank_triggers`` serves every variant and every path; ``enumerate_triggers``
+(all triggers on a whole factbase) stays as the reference it is checked
+against.  For the oblivious, semi-oblivious and restricted chases
+non-applicability is monotone: a trigger that is not applicable stays so as
+the derivation grows.  So once a rank is exhausted no lower rank needs another
+look, and one forward pass over a rank's candidates applies all it can.  The
+equivalent chase is not monotone (a trigger can wake up again), so it looks at
+every rank and rescans a rank's candidates from the start after each step.
 
 Null naming follows the derivation's naming mode: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .budget import Budget
 from .errors import (
@@ -282,7 +282,10 @@ class Derivation:
 
 
 def enumerate_triggers(factbase: frozenset, rs: RuleSet) -> list[Trigger]:
-    """All triggers of all rules on the factbase, sorted by trigger_sort_key."""
+    """All triggers of all rules on the factbase, sorted by trigger_sort_key.
+
+    The whole-factbase reference: the engine enumerates rank by rank through
+    ``rank_triggers``, which the tests check against this."""
     return [Trigger(rule.rule_id, pi)
             for rule in rs for pi in all_homomorphisms(rule.body, factbase)]
 
@@ -331,10 +334,16 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
     return out
 
 
-def _first_applicable(variant: ChaseVariant, d: Derivation,
-                      triggers: Iterable[Trigger]) -> Optional[Trigger]:
-    return next((t for t in triggers
-                 if t not in d.applied and is_applicable(variant, d, t)), None)
+def _next_applicable(variant: ChaseVariant, d: Derivation,
+                     candidates: list[Trigger], start: int = 0) -> Optional[int]:
+    """Position of the first unapplied applicable candidate at or after
+    ``start``.  The equivalent chase always scans from 0: its triggers can
+    wake up again."""
+    if variant is ChaseVariant.EQUIVALENT:
+        start = 0
+    return next((i for i in range(start, len(candidates))
+                 if candidates[i] not in d.applied
+                 and is_applicable(variant, d, candidates[i])), None)
 
 
 def is_applicable(variant: ChaseVariant, derivation: Derivation,
@@ -427,16 +436,13 @@ class VerifyReport:
 
 
 def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple[int, Trigger]]:
-    """Full scan: every unapplied applicable trigger of any rank, with its
-    rank.  Only for the cases rank_triggers cannot serve (see the module
-    docstring)."""
-    out = []
-    for t in enumerate_triggers(d.factbase, d.ruleset):
-        if t in d.applied:
-            continue
-        if is_applicable(variant, d, t):
-            out.append((d.trigger_rank_of(t), t))
-    return out
+    """Every unapplied applicable trigger of any rank, with its rank, in
+    trigger_sort_key order (the order of ``enumerate_triggers``)."""
+    ranked = [(kappa, t) for kappa in range(1, d.depth() + 2)
+              for t in rank_triggers(d, kappa)]
+    ranked.sort(key=lambda p: trigger_sort_key(d.ruleset, p[1]))
+    return [(kappa, t) for kappa, t in ranked
+            if t not in d.applied and is_applicable(variant, d, t)]
 
 
 def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int], list[Trigger]]:
@@ -446,20 +452,17 @@ def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int
 
     ``d`` must be a breadth-first derivation whose last rank is exhausted.
     For o/so/r every lower rank then stays exhausted, so the only rank to look
-    at is the last step's rank + 1; the equivalent chase rescans every rank.
+    at is the last step's rank + 1; the equivalent chase looks at every rank.
     """
     if variant is ChaseVariant.EQUIVALENT:
-        by_rank: dict[int, list[Trigger]] = {}
-        for t in enumerate_triggers(d.factbase, d.ruleset):
-            if t not in d.applied:
-                by_rank.setdefault(d.trigger_rank_of(t), []).append(t)
-        groups = [(rank, by_rank[rank]) for rank in sorted(by_rank)]
+        ranks = range(1, d.depth() + 2)
     else:
-        kappa = d.steps[-1].trigger_rank + 1 if d.steps else 1
-        groups = [(kappa, [t for t in rank_triggers(d, kappa) if t not in d.applied])]
-    for rank, group in groups:
-        if any(is_applicable(variant, d, t) for t in group):
-            return rank, group
+        last = d.steps[-1].trigger_rank if d.steps else 0
+        ranks = range(last + 1, last + 2)
+    for kappa in ranks:
+        group = [t for t in rank_triggers(d, kappa) if t not in d.applied]
+        if _next_applicable(variant, d, group) is not None:
+            return kappa, group
     return None, []
 
 
@@ -486,8 +489,9 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
         nonlocal exhaustion, exhausted_at
         k = ranks[-1]
         if monotone and ordering is None:
-            t = _first_applicable(variant, prefix, rank_triggers(prefix, k))
-            violator = None if t is None else (k, t)
+            triggers = rank_triggers(prefix, k)
+            i = _next_applicable(variant, prefix, triggers)
+            violator = None if i is None else (k, triggers[i])
         else:
             violator = next(((rank, t) for rank, t in _applicable_new_triggers(variant, prefix)
                              if rank != k + 1), None)
@@ -524,7 +528,7 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
         last = ranks[-1] if ranks else 0
         start = exhausted_at if exhausted_at is not None else last + 1
         terminating = all(
-            _first_applicable(variant, replay, rank_triggers(replay, kappa)) is None
+            _next_applicable(variant, replay, rank_triggers(replay, kappa)) is None
             for kappa in range(start, last + 2))
     else:
         terminating = not _applicable_new_triggers(variant, replay)
@@ -560,17 +564,11 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
             if is_applicable(variant, out, step.trigger):
                 out = out.extend(step.trigger, check=False)
         # Candidates of this rank are fixed once the previous rank is done;
-        # re-check before each application since order matters for R.
-        candidates = [t for t in rank_triggers(out, kappa) if t not in out.applied]
-        progress = True
-        while progress:
-            progress = False
-            for t in candidates:
-                if t in out.applied:
-                    continue
-                if is_applicable(variant, out, t):
-                    out = out.extend(t, check=False)
-                    progress = True
+        # one forward pass re-checks each in turn, since order matters for R
+        # and a skipped candidate stays inapplicable.
+        for t in rank_triggers(out, kappa):
+            if t not in out.applied and is_applicable(variant, out, t):
+                out = out.extend(t, check=False)
     return out
 
 
@@ -604,21 +602,18 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
             return ChaseResult(d, HaltReason.TERMINATED)
         if rng is not None:
             rng.shuffle(candidates)
-        # Applicability is re-evaluated per pick: order matters for R/E, and
-        # an equivalent-chase trigger may even wake back up within a rank.
-        while True:
-            pick = None
-            for t in candidates:
-                if t not in d.applied and is_applicable(variant, d, t):
-                    pick = t
-                    break
-            if pick is None:
-                break
+        # Applicability is re-evaluated before each application, since order
+        # matters for R/E.  A skipped o/so/r candidate stays inapplicable, so
+        # the pass goes on after the last pick; an equivalent-chase trigger
+        # may wake back up, so the E pass restarts at the first candidate.
+        i = _next_applicable(variant, d, candidates)
+        while i is not None:
             if len(d.steps) >= step_cap:
                 return ChaseResult(d, HaltReason.STEP_CAP)
-            if kappa > depth_cap and d.produced_preview(pick):
+            if kappa > depth_cap and d.produced_preview(candidates[i]):
                 return ChaseResult(d, HaltReason.DEPTH_CAP)
-            d = d.extend(pick, check=False)
+            d = d.extend(candidates[i], check=False)
+            i = _next_applicable(variant, d, candidates, i + 1)
 
 
 def enumerate_breadth_first_derivations(
@@ -642,21 +637,27 @@ def enumerate_breadth_first_derivations(
     budget = budget or Budget()
     seen: set = set()
 
-    def explore(d: Derivation, kappa: Optional[int],
-                candidates: list[Trigger]) -> Iterator[Derivation]:
+    def explore(d: Derivation, kappa: Optional[int], candidates: list[Trigger],
+                start: int) -> Iterator[Derivation]:
+        # Each choice is (trigger, where the child's scan starts): a branch
+        # may pick any applicable candidate and rescans from the first, a
+        # single canonical order goes on after its pick.
         budget.spend_step()
-        apps = [t for t in candidates
-                if t not in d.applied and is_applicable(variant, d, t)]
-        if not apps:
+        if branch_orders:
+            choices = [(t, 0) for t in candidates
+                       if t not in d.applied and is_applicable(variant, d, t)]
+        else:
+            i = _next_applicable(variant, d, candidates, start)
+            choices = [] if i is None else [(candidates[i], i + 1)]
+        if not choices:
             # Rank exhausted: move to the next rank with applicable triggers.
             kappa2, candidates2 = _rank_candidates(variant, d)
             if kappa2 is None:
                 yield d
                 return
-            yield from explore(d, kappa2, candidates2)
+            yield from explore(d, kappa2, candidates2, 0)
             return
-        choices = apps if branch_orders else apps[:1]
-        for t in choices:
+        for t, next_start in choices:
             d2 = d.extend(t, check=False)
             if dedup_states:
                 key = d2.applied
@@ -666,9 +667,9 @@ def enumerate_breadth_first_derivations(
             if kappa is not None and kappa >= depth_target and d2.steps[-1].produced:
                 yield d2
             else:
-                yield from explore(d2, kappa, candidates)
+                yield from explore(d2, kappa, candidates, next_start)
 
-    yield from explore(Derivation.start(variant, kb), None, [])
+    yield from explore(Derivation.start(variant, kb), None, [], 0)
 
 
 def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,
@@ -691,49 +692,34 @@ def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,
 # -- reordering constructions ------------------------------------------------
 
 
-def _replay(derivation: Derivation, order: Iterable[Trigger],
-            check_variant: Optional[ChaseVariant]) -> Derivation:
-    out = Derivation.start(derivation.variant,
-                           KnowledgeBase(derivation.initial, derivation.ruleset),
-                           derivation.naming_mode)
-    for t in order:
-        if check_variant is not None and not is_applicable(check_variant, out, t):
-            continue
-        out = out.extend(t, check=False)
-    return out
+def rank_sort(derivation: Derivation,
+              check_variant: Optional[ChaseVariant] = None) -> Derivation:
+    """Stable-sort the triggers by rank and replay, re-sorting by the
+    replayed ranks until they come out sorted.
 
-
-def rank_sort(derivation: Derivation) -> Derivation:
-    """Stable-sort the triggers by rank and replay, iterating until the order
-    is a fixpoint.  For a terminating oblivious derivation the result is a
-    breadth-first terminating derivation of smaller or equal depth."""
+    For a terminating oblivious derivation the result is a breadth-first
+    terminating derivation of smaller or equal depth.  With ``check_variant``
+    the replay re-checks applicability and drops the triggers that became
+    redundant; for a terminating restricted-chase derivation and the
+    restricted variant it yields a terminating rank-compatible restricted
+    derivation.
+    """
     order = list(derivation.triggers())
     ranks = {s.trigger: s.trigger_rank for s in derivation.steps}
-    for _ in range(5 * len(order) + 5):
-        order2 = sorted(order, key=lambda t: ranks[t])
-        replayed = _replay(derivation, order2, check_variant=None)
-        ranks = {s.trigger: s.trigger_rank for s in replayed.steps}
-        if order2 == order:
-            return replayed
-        order = order2
-    raise InternalVerificationError("rank_sort did not reach a fixpoint")
-
-
-def rank_sort_restricted(derivation: Derivation) -> Derivation:
-    """Rank-sort a terminating restricted-chase derivation and replay with
-    applicability re-checks, dropping triggers that became redundant; yields a
-    terminating rank-compatible restricted derivation."""
-    ranks = {s.trigger: s.trigger_rank for s in derivation.steps}
-    order = list(derivation.triggers())
-    for _ in range(10 + len(order)):
-        order2 = sorted(order, key=lambda t: ranks[t])
-        replayed = _replay(derivation, order2, check_variant=ChaseVariant.RESTRICTED)
+    for _ in range(5 * len(order) + 10):
+        order.sort(key=ranks.__getitem__)
+        replayed = Derivation.start(derivation.variant,
+                                    KnowledgeBase(derivation.initial, derivation.ruleset),
+                                    derivation.naming_mode)
+        for t in order:
+            if check_variant is None or is_applicable(check_variant, replayed, t):
+                replayed = replayed.extend(t, check=False)
         new_ranks = [s.trigger_rank for s in replayed.steps]
-        if all(new_ranks[i] <= new_ranks[i + 1] for i in range(len(new_ranks) - 1)):
+        if new_ranks == sorted(new_ranks):
             return replayed
+        # A dropped trigger keeps its last rank.
         ranks.update({s.trigger: s.trigger_rank for s in replayed.steps})
-        order = order2
-    raise InternalVerificationError("rank_sort_restricted did not stabilize")
+    raise InternalVerificationError("rank_sort did not stabilize")
 
 
 def so_breadth_first_from(derivation: Derivation) -> Derivation:

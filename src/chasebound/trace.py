@@ -118,6 +118,10 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     variant = _enum(ChaseVariant, doc["variant"])
     naming = _enum(NamingMode, doc["naming_mode"])
     d = Derivation.start(variant, kb, naming)
+    # Every term of a valid trigger occurs in the factbase replayed so far, so
+    # terms are looked up by their printed form; parsing a generated null's
+    # name would recurse once per level of its provenance.
+    terms = {str(t): t for a in kb.factbase for t in a.args}
     for i, step in enumerate(doc["steps"], start=1):
         rule_id = step["rule"]
         try:
@@ -125,8 +129,9 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
         except KeyError:
             raise ReplayFailureError(f"step {i}: unknown rule {rule_id}")
         try:
-            mapping = {Variable(name, rule_id): parse_term(term_text)
-                       for name, term_text in step["substitution"].items()}
+            mapping = {Variable(name, rule_id):
+                       terms[text] if text in terms else parse_term(text)
+                       for name, text in step["substitution"].items()}
         except ParseError as exc:
             raise ReplayFailureError(f"step {i}: substitution does not parse: {exc}")
         trigger = Trigger(rule_id, Substitution(mapping))
@@ -140,6 +145,7 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
             raise ReplayFailureError(f"step {i}: duplicate trigger")
         d = d.extend(trigger, check=False)
         new = d.steps[-1]
+        terms.update((str(t), t) for a in new.produced for t in a.args)
         produced = {str(a) for a in new.produced}
         if produced != set(step["produced"]):
             raise ReplayFailureError(

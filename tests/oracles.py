@@ -334,6 +334,32 @@ def oracle_rank_candidates(variant: ChaseVariant, d: Derivation):
     return None, []
 
 
+def oracle_run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
+                             policy: str = "det", seed=None,
+                             depth_cap: int = 1_000_000, step_cap: int = 1_000_000):
+    """Breadth-first runner that takes each rank's candidates from
+    ``oracle_rank_candidates`` and, after every application, rescans them
+    from the first for the next applicable one."""
+    rng = random.Random(seed) if policy == "random" else None
+    d = Derivation.start(variant, kb)
+    while True:
+        kappa, candidates = oracle_rank_candidates(variant, d)
+        if kappa is None:
+            return d, HaltReason.TERMINATED
+        if rng is not None:
+            rng.shuffle(candidates)
+        while True:
+            pick = next((t for t in candidates
+                         if t not in d.applied and is_applicable(variant, d, t)), None)
+            if pick is None:
+                break
+            if len(d.steps) >= step_cap:
+                return d, HaltReason.STEP_CAP
+            if kappa > depth_cap and d.produced_preview(pick):
+                return d, HaltReason.DEPTH_CAP
+            d = d.extend(pick, check=False)
+
+
 def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyReport:
     """Replay, then check every rank boundary and termination by full scans."""
     violations: list[str] = []

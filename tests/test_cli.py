@@ -186,6 +186,14 @@ def test_kbounded_jobs_flag(tmp_path):
     assert "bounded: true" in out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_kbounded_jobs_below_one_is_usage_error(jobs):
+    code, out, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex4.dlp"),
+                              "--variant", "r", "--k", "1", "--jobs", jobs])
+    assert code == 2
+    assert "error: jobs must be >= 1" in err and not out
+
+
 @pytest.mark.parametrize("name", ["ex3_single", "ex10", "ex8"])
 def test_kbounded_jobs_prints_the_sequential_report(name):
     for variant in ("o", "so", "r"):

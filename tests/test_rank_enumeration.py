@@ -2,9 +2,10 @@
 
 The breadth-first runner, the completion and ``verify_derivation`` enumerate
 one rank at a time through ``rank_triggers`` and search the factbase through
-its carried index.  Each of these is checked here against the whole-factbase
-computation it replaces (``oracles.oracle_*``, ``enumerate_triggers``, a fresh
-``sorted_atoms`` index).
+its carried index; the runner makes one forward pass over a rank's candidates
+(the equivalent chase rescans them).  Each of these is checked here against
+the whole-factbase computation it replaces (``oracles.oracle_*``,
+``enumerate_triggers``, a fresh ``sorted_atoms`` index).
 """
 
 import random
@@ -15,9 +16,11 @@ from chasebound import (
     HaltReason,
     KnowledgeBase,
     enumerate_triggers,
+    parse_kb,
     rank_triggers,
     run_breadth_first,
     run_random_exhaustive,
+    serialize_trace,
     verify_derivation,
 )
 from chasebound.engine import _rank_candidates
@@ -25,7 +28,9 @@ from chasebound.terms import sorted_atoms
 
 from oracles import (
     oracle_rank_candidates,
+    oracle_run_breadth_first,
     oracle_verify_derivation,
+    random_datalog_kb,
     random_kb,
 )
 
@@ -98,6 +103,31 @@ def test_rank_candidates_match_oracle_at_rank_boundaries():
             if exhausted:
                 assert _rank_candidates(variant, d) == \
                     oracle_rank_candidates(variant, d), (i, variant, n)
+
+
+# An equivalent-chase trigger that wakes up within its rank: (R1,{X:v1,Y:w})
+# is not applicable at first (v1, w fold onto v2, b), applying the later
+# (R2,{X:v1,Y:w}) adds g(w) and makes it applicable, and applying the last,
+# (R2,{X:v2,Y:b}), would make it inapplicable again.
+WAKING_KB = parse_kb("p(_:v1,_:w). p(_:v2,b). q(b).\n"
+                     "p(X,Y) -> q(Y).\np(X,Y) -> g(Y).\n").kb
+
+
+def test_runner_matches_rescan_oracle():
+    # The oracle rescans a rank's candidates from the first after every
+    # application; the runner's forward pass must pick the same triggers.
+    rng = random.Random(36)
+    kbs = [WAKING_KB] + [make(rng) for _ in range(12)
+                         for make in (random_kb, random_datalog_kb)]
+    for i, kb in enumerate(kbs):
+        for variant in V:
+            for policy, seed in (("det", None), ("random", i)):
+                res = run_breadth_first(variant, kb, policy, seed,
+                                        depth_cap=3, step_cap=20)
+                d, halt = oracle_run_breadth_first(variant, kb, policy, seed,
+                                                   depth_cap=3, step_cap=20)
+                assert serialize_trace(res.derivation, res.halt_reason) == \
+                    serialize_trace(d, halt), (i, variant, policy)
 
 
 def mutations(rng, derivation):

@@ -12,7 +12,6 @@ from chasebound import ChaseVariant, run_breadth_first, verify_derivation
 from chasebound.engine import (
     HaltReason,
     rank_sort,
-    rank_sort_restricted,
     run_random_exhaustive,
     so_breadth_first_from,
 )
@@ -65,7 +64,7 @@ def test_semi_oblivious_frontier_replacement_gives_breadth_first():
 
 def test_restricted_rank_sort_terminating_rank_compatible():
     for kb, d in terminating_runs(V.RESTRICTED, 25, seed=83):
-        reordered = rank_sort_restricted(d)
+        reordered = rank_sort(d, V.RESTRICTED)
         report = verify_derivation(V.RESTRICTED, reordered)
         assert report.is_valid_variant_derivation
         assert report.is_rank_compatible

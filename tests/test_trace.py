@@ -11,6 +11,7 @@ from chasebound import (
     run_breadth_first,
     serialize_trace,
     serialize_witness,
+    verify_derivation,
 )
 from chasebound.errors import ReplayFailureError, VersionMismatchError
 from chasebound.terms import Constant, atom
@@ -38,6 +39,20 @@ def test_round_trip_identity_on_engine_output():
         {at: res.derivation.atom_rank(at) for at in res.derivation.factbase}
     # Bit-exact: serializing the replay reproduces the same bytes.
     assert serialize_trace(d2, halt) == text
+
+
+def test_deep_trace_round_trips_and_verifies():
+    # Each generated null's printed name nests its whole provenance; replay
+    # must not parse it once per level.
+    res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=400,
+                            depth_cap=2000)
+    text, d2, halt = roundtrip(res)
+    assert len(d2.steps) == 400 and d2.depth() == 400
+    assert serialize_trace(d2, halt) == text
+    report = verify_derivation(V.RESTRICTED, d2)
+    assert report.is_valid_variant_derivation
+    assert report.is_rank_compatible and report.is_rank_exhaustive
+    assert not report.is_terminating
 
 
 def test_round_trip_preserves_null_names():
