@@ -13,7 +13,6 @@ from .boundedness import (
     Witness,
     check_k_bounded,
     enumerate_representative_factbases,
-    oracle_check_k_bounded,
     shrink_witness,
 )
 from .budget import Budget

@@ -174,20 +174,6 @@ def enumerate_representative_factbases(rs: RuleSet, max_atoms: int,
                     yield candidate
 
 
-def all_small_factbases(rs: RuleSet, max_atoms: int, pool_size: int,
-                        budget: Optional[Budget] = None) -> Iterator[frozenset]:
-    """Brute enumeration without isomorphism deduplication (oracle side)."""
-    budget = budget or Budget()
-    pool = generic_pool(rs, pool_size)
-    consts = sorted(rs.rule_constants, key=term_sort_key)
-    universe = _body_atom_universe(rs, consts + pool)
-    yield frozenset()
-    for n in range(1, max_atoms + 1):
-        for combo in itertools.combinations(universe, n):
-            budget.spend_step()
-            yield frozenset(combo)
-
-
 # -- decision ------------------------------------------------------------------
 
 
@@ -294,16 +280,3 @@ def shrink_witness(factbase: frozenset, derivation: Derivation,
     per-factbase search on it re-finds a derivation of the same depth.
     """
     return frozenset(factbase & derivation.ancestors(offending))
-
-
-def oracle_check_k_bounded(q: BoundedQuery, extended_pool: int) -> BoundednessVerdict:
-    """Same decision without isomorphism deduplication and with a strictly
-    larger constant pool; exists to cross-validate the representative
-    enumeration and the canonical dedup at desk scale."""
-    default = default_pool_size(q.ruleset, q.max_atoms)
-    if extended_pool <= default:
-        raise ChaseError(
-            f"oracle pool must exceed the default pool size {default}")
-    budget = q.budget()
-    factbases = all_small_factbases(q.ruleset, q.max_atoms, extended_pool, budget)
-    return _verdict(q, *_first_witness(q, factbases, budget))

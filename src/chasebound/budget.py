@@ -2,29 +2,21 @@
 
 from __future__ import annotations
 
-import os
 import time
 
 from .errors import BudgetExceededError
-
-ENV_BUDGET_MS = "CHASEBOUND_BUDGET_MS"
 
 
 class Budget:
     """Tracks elapsed time and two work counters against optional caps.
 
-    ``max_ms`` defaults to the CHASEBOUND_BUDGET_MS environment variable when
-    unset; a missing variable means no time cap.  ``steps`` counts fine-grained
+    A cap left as None is not enforced.  ``steps`` counts fine-grained
     work (trigger applications, search nodes) and ``items`` counts coarse units
     (factbases, derivations).
     """
 
     def __init__(self, max_ms: float | None = None, max_steps: int | None = None,
                  max_items: int | None = None):
-        if max_ms is None:
-            env = os.environ.get(ENV_BUDGET_MS)
-            if env:
-                max_ms = float(env)
         self.max_ms = max_ms
         self.max_steps = max_steps
         self.max_items = max_items

@@ -48,7 +48,7 @@ def _load_kb(path: str, err):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=err)
         return None
     result = parse_kb(text)
@@ -116,13 +116,16 @@ def _cmd_kbounded(args, out, err) -> int:
 def _load_trace(path: str, out):
     """The derivation a trace file records, or None after reporting why it
     does not replay."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         return deserialize_trace(text)[0]
+    except UnicodeDecodeError as exc:
+        reason = f"trace is not UTF-8: {exc}"
     except ReplayFailureError as exc:
-        print(f"replay: failed ({exc})", file=out)
-        return None
+        reason = str(exc)
+    print(f"replay: failed ({reason})", file=out)
+    return None
 
 
 def _cmd_restrict(args, out, err) -> int:

@@ -19,9 +19,11 @@ look, and one forward pass over a rank's candidates applies all it can.  The
 equivalent chase is not monotone (a trigger can wake up again), so it looks at
 every rank and rescans a rank's candidates from the start after each step.
 
-Null naming follows the derivation's naming mode: trigger-keyed nulls for the
+Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
 semi-oblivious chase (frontier-equal triggers then produce identical atoms).
+A replay of a derivation therefore starts from that derivation's variant,
+whatever variant's applicability condition it checks.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ def frontier_image(rule: Rule, pi: Substitution) -> tuple:
     return tuple(pi.apply_term(v) for v in rule.frontier_order)
 
 
-def safe_extension(trigger: Trigger, rule: Rule, naming_mode: NamingMode) -> Substitution:
+def safe_extension(trigger: Trigger, rule: Rule, naming: NamingMode) -> Substitution:
     """Extend the trigger's substitution, mapping each existential variable to
     a deterministic fresh null keyed by the trigger (or its frontier image)."""
-    if naming_mode is NamingMode.TRIGGER:
+    if naming is NamingMode.TRIGGER:
         key: Union[TriggerKey, FrontierKey] = TriggerKey(
             tuple(sorted(((v.name, t) for v, t in trigger.pi.items()))))
     else:
@@ -121,57 +123,63 @@ class DerivationStep:
 
 
 class Derivation:
-    """One chase derivation with full rank and ancestor bookkeeping."""
+    """One chase derivation: the initial factbase and the step log.
 
-    __slots__ = ("variant", "ruleset", "naming_mode", "initial", "steps",
-                 "factbase", "_rank", "_parents", "_producer", "applied",
-                 "_frontier_seen")
+    Everything else is read off the steps: each produced atom maps to the
+    step that produced it, so its rank is that step's trigger rank and its
+    direct ancestors are that trigger's body image; initial atoms have rank 0
+    and no ancestors.  Nulls are named by the variant's default naming mode.
+    The factbase, the applied triggers and the frontier images seen are kept
+    as indexes for the applicability checks.
+    """
 
-    def __init__(self, variant: ChaseVariant, ruleset: RuleSet, naming_mode: NamingMode,
-                 initial: frozenset, steps: tuple, factbase: frozenset,
-                 rank: dict, parents: dict, producer: dict,
+    __slots__ = ("variant", "ruleset", "initial", "steps", "factbase",
+                 "_step_of", "applied", "_frontier_seen")
+
+    def __init__(self, variant: ChaseVariant, ruleset: RuleSet, initial: frozenset,
+                 steps: tuple, factbase: IndexedAtoms, step_of: dict,
                  applied: frozenset, frontier_seen: frozenset):
         self.variant = variant
         self.ruleset = ruleset
-        self.naming_mode = naming_mode
         self.initial = initial
         self.steps = steps
         self.factbase = factbase
-        self._rank = rank
-        self._parents = parents
-        self._producer = producer
+        self._step_of = step_of
         self.applied = applied
         self._frontier_seen = frontier_seen
 
     @classmethod
-    def start(cls, variant: ChaseVariant, kb: KnowledgeBase,
-              naming_mode: Optional[NamingMode] = None) -> "Derivation":
-        naming = naming_mode or default_naming(variant)
+    def start(cls, variant: ChaseVariant, kb: KnowledgeBase) -> "Derivation":
         initial = frozenset(kb.factbase)
-        return cls(variant, kb.ruleset, naming, initial, (), IndexedAtoms(initial),
-                   {a: 0 for a in initial}, {}, {}, frozenset(), frozenset())
+        return cls(variant, kb.ruleset, initial, (), IndexedAtoms(initial), {},
+                   frozenset(), frozenset())
+
+    @property
+    def naming_mode(self) -> NamingMode:
+        return default_naming(self.variant)
 
     # -- queries ----------------------------------------------------------
 
     def atom_rank(self, a: Atom) -> int:
-        try:
-            return self._rank[a]
-        except KeyError:
-            raise UnknownTargetError(f"atom {a} does not occur in the derivation")
+        step = self._step_of.get(a)
+        if step is not None:
+            return step.trigger_rank
+        if a in self.initial:
+            return 0
+        raise UnknownTargetError(f"atom {a} does not occur in the derivation")
 
     def trigger_rank_of(self, trigger: Trigger) -> int:
-        rule = self._rule(trigger)
-        image = trigger.pi.apply(rule.body)
-        if not image <= self.factbase:
-            raise UnknownTriggerError(
-                f"trigger {trigger} body does not embed into the factbase")
-        return 1 + max(self._rank[a] for a in image)
+        return 1 + max(map(self.atom_rank, self._checked_body(trigger)[1]))
 
     def depth(self) -> int:
-        return max(self._rank.values(), default=0)
+        return max((s.trigger_rank for s in self.steps if s.produced), default=0)
 
     def triggers(self) -> tuple:
         return tuple(s.trigger for s in self.steps)
+
+    def _parents(self, a: Atom) -> frozenset:
+        step = self._step_of.get(a)
+        return frozenset() if step is None else self._body_image(step.trigger)
 
     def ancestors(self, target: Union[Atom, Trigger]) -> frozenset:
         """Transitive closure of the direct-ancestor relation.
@@ -184,43 +192,26 @@ class Derivation:
         if isinstance(target, Trigger):
             if target not in self.applied:
                 raise UnknownTargetError(f"trigger {target} is not part of the derivation")
-            rule = self._rule(target)
-            base = target.pi.apply(rule.body)
-            collected = set(base)
+            base = self._body_image(target)
         else:
             if target not in self.factbase:
                 raise UnknownTargetError(f"atom {target} does not occur in the derivation")
-            base = self._parents.get(target, frozenset())
-            collected = set(base)
+            base = self._parents(target)
+        collected = set(base)
         frontier = list(base)
         while frontier:
-            a = frontier.pop()
-            for p in self._parents.get(a, ()):
+            for p in self._parents(frontier.pop()):
                 if p not in collected:
                     collected.add(p)
                     frontier.append(p)
         return frozenset(collected)
 
     def trigger_ancestors(self, target: Trigger) -> frozenset:
-        """Direct-ancestor closure at the trigger level."""
-        if target not in self.applied:
-            raise UnknownTargetError(f"trigger {target} is not part of the derivation")
-        produced_by = self._producer
-        rule_of = self._rule
-
-        def parents(t: Trigger) -> set:
-            image = t.pi.apply(rule_of(t).body)
-            return {produced_by[a] for a in image if a in produced_by}
-
-        collected: set = set()
-        frontier = list(parents(target))
-        while frontier:
-            t = frontier.pop()
-            if t in collected:
-                continue
-            collected.add(t)
-            frontier.extend(parents(t))
-        return frozenset(collected)
+        """Direct-ancestor closure at the trigger level: the producers of the
+        atoms in ``ancestors(target)``."""
+        step_of = self._step_of
+        return frozenset(step_of[a].trigger for a in self.ancestors(target)
+                         if a in step_of)
 
     def _rule(self, trigger: Trigger) -> Rule:
         try:
@@ -228,14 +219,29 @@ class Derivation:
         except KeyError:
             raise UnknownTriggerError(f"unknown rule id {trigger.rule_id}")
 
+    def _body_image(self, trigger: Trigger) -> frozenset:
+        return trigger.pi.apply(self._rule(trigger).body)
+
+    def _checked_body(self, trigger: Trigger) -> tuple[Rule, frozenset]:
+        """The trigger's rule and body image; UnknownTriggerError unless the
+        trigger is a trigger of this derivation: a known rule, a substitution
+        whose domain is vars(body), and a body image inside the factbase."""
+        rule = self._rule(trigger)
+        if trigger.pi.domain() != rule.body_vars:
+            raise UnknownTriggerError(
+                f"substitution domain differs from vars(body) for rule {rule.rule_id}")
+        image = trigger.pi.apply(rule.body)
+        if not image <= self.factbase:
+            raise UnknownTriggerError(
+                f"trigger {trigger} body does not embed into the factbase")
+        return rule, image
+
     # -- construction ------------------------------------------------------
 
-    def head_image(self, trigger: Trigger) -> frozenset:
-        rule = self._rule(trigger)
-        return safe_extension(trigger, rule, self.naming_mode).apply(rule.head)
-
     def produced_preview(self, trigger: Trigger) -> frozenset:
-        return self.head_image(trigger) - self.factbase
+        rule = self._rule(trigger)
+        head = safe_extension(trigger, rule, self.naming_mode).apply(rule.head)
+        return head - self.factbase
 
     def extend(self, trigger: Trigger, check: bool = True) -> "Derivation":
         """Append one immediate derivation step.
@@ -247,31 +253,20 @@ class Derivation:
         if check and not is_applicable(self.variant, self, trigger):
             raise NotApplicableError(f"trigger {trigger} is not "
                                      f"{self.variant.value}-applicable")
-        rule = self._rule(trigger)
-        body_image = trigger.pi.apply(rule.body)
-        if not body_image <= self.factbase:
-            raise UnknownTriggerError(
-                f"trigger {trigger} body does not embed into the factbase")
+        rule, body_image = self._checked_body(trigger)
         if trigger in self.applied:
             raise NotApplicableError(f"trigger {trigger} already applied")
         head = safe_extension(trigger, rule, self.naming_mode).apply(rule.head)
         produced = frozenset(head - self.factbase)
-        trank = 1 + max(self._rank[a] for a in body_image)
-
+        trank = 1 + max(map(self.atom_rank, body_image))
         factbase = self.factbase.with_atoms(produced)
-        rank = dict(self._rank)
-        parents = dict(self._parents)
-        producer = dict(self._producer)
-        for a in produced:
-            rank[a] = trank
-            parents[a] = body_image
-            producer[a] = trigger
         step = DerivationStep(trigger, produced, len(factbase), trank)
+        step_of = dict(self._step_of)
+        step_of.update(dict.fromkeys(produced, step))
         frontier_seen = self._frontier_seen | {
             (rule.rule_id, frontier_image(rule, trigger.pi))}
-        return Derivation(self.variant, self.ruleset, self.naming_mode,
-                          self.initial, self.steps + (step,), factbase,
-                          rank, parents, producer,
+        return Derivation(self.variant, self.ruleset, self.initial,
+                          self.steps + (step,), factbase, step_of,
                           self.applied | {trigger}, frontier_seen)
 
     def has_frontier_equal(self, rule: Rule, pi: Substitution) -> bool:
@@ -301,7 +296,7 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
     rank <= κ-1.
     """
     last = kappa - 1
-    rank = d._rank
+    step_of = d._step_of
     split: dict[tuple[str, int], tuple[list, list, list]] = {}
 
     def by_rank(key: tuple[str, int]) -> tuple[list, list, list]:
@@ -309,7 +304,8 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
         if key not in split:
             older, delta, upto = [], [], []
             for a in d.factbase.index.get(key, ()):
-                r = rank[a]
+                step = step_of.get(a)
+                r = 0 if step is None else step.trigger_rank
                 if r < last:
                     older.append(a)
                     upto.append(a)
@@ -354,14 +350,7 @@ def is_applicable(variant: ChaseVariant, derivation: Derivation,
     the rule body into the current factbase; returns False for a trigger the
     derivation already contains (it cannot extend the derivation).
     """
-    rule = derivation._rule(trigger)
-    if trigger.pi.domain() != rule.body_vars:
-        raise UnknownTriggerError(
-            f"substitution domain differs from vars(body) for rule {rule.rule_id}")
-    body_image = trigger.pi.apply(rule.body)
-    if not body_image <= derivation.factbase:
-        raise UnknownTriggerError(
-            f"trigger {trigger} body does not embed into the factbase")
+    rule = derivation._checked_body(trigger)[0]
     if trigger in derivation.applied:
         return False
 
@@ -408,13 +397,12 @@ def restrict(derivation: Derivation, keep: frozenset) -> Derivation:
     keep = frozenset(keep)
     if not keep <= derivation.initial:
         raise KeepNotSubsetError("keep must be a subset of the initial factbase")
-    out = Derivation.start(derivation.variant,
-                           KnowledgeBase(keep, derivation.ruleset),
-                           derivation.naming_mode)
+    out = Derivation.start(derivation.variant, KnowledgeBase(keep, derivation.ruleset))
     for step in derivation.steps:
-        rule = out._rule(step.trigger)
-        if step.trigger.pi.apply(rule.body) <= out.factbase:
+        try:
             out = out.extend(step.trigger, check=False)
+        except UnknownTriggerError:
+            pass  # its body does not embed in what ``keep`` has grown so far
     return out
 
 
@@ -501,9 +489,8 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
                           f"rank {rank} is still {variant.value}-applicable")
             exhausted_at = k
 
-    replay = Derivation.start(variant,
-                              KnowledgeBase(derivation.initial, derivation.ruleset),
-                              derivation.naming_mode)
+    replay = Derivation.start(derivation.variant,
+                              KnowledgeBase(derivation.initial, derivation.ruleset))
     for i, step in enumerate(derivation.steps):
         try:
             ok = is_applicable(variant, replay, step.trigger)
@@ -553,9 +540,8 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
         raise VariantUnsupportedError(
             "the equivalent chase is not consistently hereditary; "
             "no completion is defined")
-    rs = restricted.ruleset
-    out = Derivation.start(variant, KnowledgeBase(restricted.initial, rs),
-                           restricted.naming_mode)
+    out = Derivation.start(restricted.variant,
+                           KnowledgeBase(restricted.initial, restricted.ruleset))
     max_rank = max((s.trigger_rank for s in restricted.steps), default=0)
     for kappa in range(1, max_rank + 1):
         for step in restricted.steps:
@@ -709,8 +695,7 @@ def rank_sort(derivation: Derivation,
     for _ in range(5 * len(order) + 10):
         order.sort(key=ranks.__getitem__)
         replayed = Derivation.start(derivation.variant,
-                                    KnowledgeBase(derivation.initial, derivation.ruleset),
-                                    derivation.naming_mode)
+                                    KnowledgeBase(derivation.initial, derivation.ruleset))
         for t in order:
             if check_variant is None or is_applicable(check_variant, replayed, t):
                 replayed = replayed.extend(t, check=False)
@@ -730,12 +715,10 @@ def so_breadth_first_from(derivation: Derivation) -> Derivation:
     trigger applicable on the part already rebuilt; frontier-keyed nulls make
     the replacement produce exactly the same atoms.
     """
-    if derivation.naming_mode is not NamingMode.FRONTIER:
-        raise ChaseError("frontier-equal replacement requires frontier naming")
+    if derivation.variant is not ChaseVariant.SEMI_OBLIVIOUS:
+        raise ChaseError("frontier-equal replacement requires the semi-oblivious chase")
     rs = derivation.ruleset
-    bf = Derivation.start(ChaseVariant.SEMI_OBLIVIOUS,
-                          KnowledgeBase(derivation.initial, rs),
-                          NamingMode.FRONTIER)
+    bf = Derivation.start(ChaseVariant.SEMI_OBLIVIOUS, KnowledgeBase(derivation.initial, rs))
     remaining = list(derivation.triggers())
     while remaining:
         layer: list[tuple[Trigger, Trigger]] = []

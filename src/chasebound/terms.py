@@ -126,13 +126,9 @@ class Null:
         return (Null, (self.provenance,))
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        # Interning makes identity almost complete; the hash prefilter keeps
-        # the unequal case O(1) instead of descending nested provenances.
-        if not isinstance(other, Null) or self._hash != other._hash:
-            return False
-        return self.provenance == other.provenance
+        # Every null is interned (unpickling goes through ``__new__`` via
+        # ``__reduce__``), so equal provenances mean the same object.
+        return self is other
 
     def __hash__(self) -> int:
         return self._hash

@@ -18,8 +18,9 @@ from .engine import (
     HaltReason,
     NamingMode,
     Trigger,
+    default_naming,
 )
-from .errors import ReplayFailureError, VersionMismatchError
+from .errors import ChaseError, ReplayFailureError, VersionMismatchError
 from .parser import ParseError, parse_atom, parse_kb, parse_term, serialize_rule
 from .rules import KnowledgeBase
 from .terms import Substitution, Variable, sorted_atoms
@@ -107,6 +108,8 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ReplayFailureError(f"trace is not valid JSON: {exc}")
+    except RecursionError:
+        raise ReplayFailureError("trace nests too deeply to decode")
     if not isinstance(doc, dict):
         raise ReplayFailureError("trace is not a JSON object")
     version = doc.get("format_version")
@@ -116,8 +119,11 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     _check_shape(doc)
     kb = _parse_ruleset_and_initial(doc)
     variant = _enum(ChaseVariant, doc["variant"])
-    naming = _enum(NamingMode, doc["naming_mode"])
-    d = Derivation.start(variant, kb, naming)
+    if _enum(NamingMode, doc["naming_mode"]) is not default_naming(variant):
+        raise ReplayFailureError(
+            f"naming mode {doc['naming_mode']!r} is not the default for variant "
+            f"{variant.value!r}")
+    d = Derivation.start(variant, kb)
     # Every term of a valid trigger occurs in the factbase replayed so far, so
     # terms are looked up by their printed form; parsing a generated null's
     # name would recurse once per level of its provenance.
@@ -125,25 +131,15 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     for i, step in enumerate(doc["steps"], start=1):
         rule_id = step["rule"]
         try:
-            rule = kb.ruleset[rule_id]
-        except KeyError:
-            raise ReplayFailureError(f"step {i}: unknown rule {rule_id}")
-        try:
             mapping = {Variable(name, rule_id):
                        terms[text] if text in terms else parse_term(text)
                        for name, text in step["substitution"].items()}
         except ParseError as exc:
             raise ReplayFailureError(f"step {i}: substitution does not parse: {exc}")
-        trigger = Trigger(rule_id, Substitution(mapping))
-        if trigger.pi.domain() != rule.body_vars:
-            raise ReplayFailureError(
-                f"step {i}: substitution does not cover vars(body) of {rule_id}")
-        if not trigger.pi.apply(rule.body) <= d.factbase:
-            raise ReplayFailureError(
-                f"step {i}: trigger body does not embed into the factbase")
-        if trigger in d.applied:
-            raise ReplayFailureError(f"step {i}: duplicate trigger")
-        d = d.extend(trigger, check=False)
+        try:
+            d = d.extend(Trigger(rule_id, Substitution(mapping)), check=False)
+        except ChaseError as exc:
+            raise ReplayFailureError(f"step {i}: {exc}")
         new = d.steps[-1]
         terms.update((str(t), t) for a in new.produced for t in a.args)
         produced = {str(a) for a in new.produced}

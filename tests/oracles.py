@@ -12,6 +12,9 @@ import random
 
 from chasebound import (
     Atom,
+    BoundedQuery,
+    BoundednessVerdict,
+    ChaseError,
     ChaseVariant,
     Constant,
     Derivation,
@@ -33,7 +36,13 @@ from chasebound import (
     serialize_trace,
     verify_derivation,
 )
-from chasebound.boundedness import _body_atom_universe, default_pool_size, generic_pool
+from chasebound.boundedness import (
+    _body_atom_universe,
+    _first_witness,
+    _verdict,
+    default_pool_size,
+    generic_pool,
+)
 from chasebound.budget import Budget
 from chasebound.engine import HaltReason, breadth_first_completion, trigger_sort_key
 from chasebound.homomorphism import canonical_form
@@ -190,12 +199,32 @@ def breadth_first_prefix(derivation: Derivation, max_rank: int) -> Derivation:
     """Replay only the steps of trigger rank <= max_rank; on a breadth-first
     run this prefix is breadth-first even when the run was cut by a cap."""
     out = Derivation.start(derivation.variant,
-                           KnowledgeBase(derivation.initial, derivation.ruleset),
-                           derivation.naming_mode)
+                           KnowledgeBase(derivation.initial, derivation.ruleset))
     for step in derivation.steps:
         if step.trigger_rank <= max_rank:
             out = out.extend(step.trigger, check=False)
     return out
+
+
+def oracle_ancestors(derivation: Derivation) -> dict:
+    """Every atom's ancestors by a naive fixpoint over the step log: an atom's
+    parents are the body image of the step whose ``produced`` holds it, and
+    its ancestors are its parents together with their ancestors."""
+    parents = {at: frozenset() for at in derivation.initial}
+    for step in derivation.steps:
+        rule = derivation.ruleset[step.trigger.rule_id]
+        for at in step.produced:
+            parents[at] = step.trigger.pi.apply(rule.body)
+    ancestors = dict(parents)
+    changed = True
+    while changed:
+        changed = False
+        for at, known in ancestors.items():
+            grown = known.union(*(ancestors[p] for p in known))
+            if grown != known:
+                ancestors[at] = grown
+                changed = True
+    return ancestors
 
 
 def check_ancestor_clue(derivation: Derivation) -> list[str]:
@@ -364,9 +393,8 @@ def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> V
     """Replay, then check every rank boundary and termination by full scans."""
     violations: list[str] = []
     valid = True
-    replay = Derivation.start(variant,
-                              KnowledgeBase(derivation.initial, derivation.ruleset),
-                              derivation.naming_mode)
+    replay = Derivation.start(derivation.variant,
+                              KnowledgeBase(derivation.initial, derivation.ruleset))
     prefixes: list[Derivation] = []
     for i, step in enumerate(derivation.steps):
         try:
@@ -455,3 +483,33 @@ def oracle_representative_factbases(rs: RuleSet, max_atoms: int,
                     seen.add(key)
                     budget.spend_item()
                     yield candidate
+
+
+# -- unpruned reference for the decider -------------------------------------------
+
+
+def all_small_factbases(rs: RuleSet, max_atoms: int, pool_size: int,
+                        budget: Budget | None = None):
+    """Brute enumeration without isomorphism deduplication."""
+    budget = budget or Budget()
+    pool = generic_pool(rs, pool_size)
+    consts = sorted(rs.rule_constants, key=term_sort_key)
+    universe = _body_atom_universe(rs, consts + pool)
+    yield frozenset()
+    for n in range(1, max_atoms + 1):
+        for combo in itertools.combinations(universe, n):
+            budget.spend_step()
+            yield frozenset(combo)
+
+
+def oracle_check_k_bounded(q: BoundedQuery, extended_pool: int) -> BoundednessVerdict:
+    """The decision without isomorphism deduplication and with a strictly
+    larger constant pool; cross-validates the representative enumeration and
+    the canonical dedup at desk scale."""
+    default = default_pool_size(q.ruleset, q.max_atoms)
+    if extended_pool <= default:
+        raise ChaseError(
+            f"oracle pool must exceed the default pool size {default}")
+    budget = q.budget()
+    factbases = all_small_factbases(q.ruleset, q.max_atoms, extended_pool, budget)
+    return _verdict(q, *_first_witness(q, factbases, budget))

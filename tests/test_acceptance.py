@@ -21,7 +21,6 @@ from chasebound import (
     atom,
     check_k_bounded,
     enumerate_breadth_first_derivations,
-    oracle_check_k_bounded,
     restrict,
     run_breadth_first,
     verify_derivation,
@@ -38,6 +37,7 @@ from oracles import (
     check_consistent_heredity,
     check_heredity,
     check_trace_roundtrip,
+    oracle_check_k_bounded,
     random_kb,
     random_keep_subsets,
     random_single_rule_set,

@@ -12,7 +12,6 @@ from chasebound import (
     check_k_bounded,
     enumerate_representative_factbases,
     is_isomorphic,
-    oracle_check_k_bounded,
     parse_kb,
     shrink_witness,
     verify_derivation,
@@ -22,6 +21,7 @@ from chasebound.budget import Budget
 from chasebound.errors import BudgetExceededError, VariantUnsupportedError
 
 from conftest import load_example
+from oracles import oracle_check_k_bounded
 
 V = ChaseVariant
 a, b = Constant("a"), Constant("b")
@@ -238,11 +238,8 @@ def test_budget_exceeded_withholds_verdict():
     assert exc.value.steps > 0
 
 
-def test_time_budget_env_default(monkeypatch):
-    from chasebound.budget import ENV_BUDGET_MS, Budget
-
-    monkeypatch.setenv(ENV_BUDGET_MS, "0.0001")
-    budget = Budget()
+def test_time_budget_env_default():
+    budget = Budget(max_ms=0.0001)
     with pytest.raises(BudgetExceededError):
         for _ in range(100_000):
             budget.spend_item()

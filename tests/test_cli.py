@@ -281,6 +281,51 @@ def test_verify_unparsable_substitution_term_is_replay_failure(kb_file, tmp_path
     assert out.startswith("replay: failed (step 1: substitution does not parse")
 
 
+def test_verify_trace_with_foreign_naming_mode_is_replay_failure(tmp_path):
+    # Nulls are named by the variant's default naming mode; a trace claiming
+    # another one does not replay, even when (datalog) it names no null.
+    def frontier(doc):
+        assert doc["variant"] == "r" and doc["naming_mode"] == "trigger"
+        doc["naming_mode"] = "frontier"
+        return doc
+    trace = tmp_path / "t.json"
+    run_cli(["run", "--kb", str(FIXTURES / "ex7.dlp"), "--variant", "r",
+             "--trace", str(trace)])
+    trace.write_text(json.dumps(frontier(json.loads(trace.read_text()))),
+                     encoding="utf-8")
+    code, out, _ = run_cli(["verify", "--trace", str(trace)])
+    assert code == 1
+    assert out.startswith("replay: failed (naming mode 'frontier'")
+
+
+@pytest.mark.parametrize("command", ["verify", "restrict"])
+def test_trace_not_utf8_is_replay_failure(command, tmp_path):
+    trace = tmp_path / "t.json"
+    trace.write_bytes(b'{"format_version": 1, "variant": "\xff"}')
+    argv = [command, "--trace", str(trace)]
+    if command == "restrict":
+        argv += ["--keep", "p(a)", "--out", str(tmp_path / "r.json")]
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out.startswith("replay: failed (trace is not UTF-8:") and not err
+
+
+def test_deeply_nested_trace_is_replay_failure(tmp_path):
+    trace = tmp_path / "t.json"
+    trace.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run_cli(["verify", "--trace", str(trace)])
+    assert code == 1
+    assert out.startswith("replay: failed (trace nests too deeply") and not err
+
+
+def test_run_kb_not_utf8_is_read_error(tmp_path):
+    kb = tmp_path / "kb.dlp"
+    kb.write_bytes(b"p(\xff).\n")
+    code, out, err = run_cli(["run", "--kb", str(kb), "--variant", "o"])
+    assert code == 2
+    assert err.startswith(f"error: cannot read {kb}: ") and not out
+
+
 def test_kbounded_canonical_budget_exits_3(monkeypatch):
     import chasebound.boundedness as boundedness
 

@@ -111,6 +111,18 @@ def test_unknown_trigger_raises():
         is_applicable(V.OBLIVIOUS, d, trig(kb.ruleset, "R1", {"X": a}))
 
 
+def test_substitution_beyond_body_vars_is_no_trigger():
+    # The body image p(a,a) embeds, but a trigger's substitution has domain
+    # exactly vars(body): the extra variable W makes this no trigger.
+    kb = load_example("ex2_k1")
+    d = Derivation.start(V.OBLIVIOUS, kb)
+    t = trig(kb.ruleset, "R1", {"X": a, "Y": a, "W": b})
+    with pytest.raises(UnknownTriggerError):
+        d.extend(t, check=False)
+    with pytest.raises(UnknownTriggerError):
+        d.trigger_rank_of(t)
+
+
 def test_extend_example1_products_and_ranks():
     kb = load_example("ex1")
     d = Derivation.start(V.OBLIVIOUS, kb)

@@ -15,6 +15,7 @@ from oracles import (
     check_consistent_heredity,
     check_heredity,
     check_trace_roundtrip,
+    oracle_ancestors,
     random_kb,
     random_keep_subsets,
 )
@@ -31,6 +32,24 @@ def test_ancestor_bound_on_random_runs():
             cap = 20 if variant is V.EQUIVALENT else 40
             res = run_breadth_first(variant, kb, depth_cap=3, step_cap=cap)
             assert check_ancestor_clue(res.derivation) == [], (i, variant)
+
+
+def test_ancestors_match_step_log_fixpoint():
+    rng = random.Random(613)
+    for i in range(30):
+        kb = random_kb(rng)
+        for variant in (*HEREDITARY, V.EQUIVALENT):
+            cap = 20 if variant is V.EQUIVALENT else 40
+            d = run_breadth_first(variant, kb, depth_cap=3, step_cap=cap).derivation
+            expected = oracle_ancestors(d)
+            assert {at: d.ancestors(at) for at in d.factbase} == expected, (i, variant)
+            producer = {at: s.trigger for s in d.steps for at in s.produced}
+            for s in d.steps:
+                body = s.trigger.pi.apply(d.ruleset[s.trigger.rule_id].body)
+                closure = body.union(*(expected[at] for at in body))
+                assert d.ancestors(s.trigger) == closure, (i, variant)
+                assert d.trigger_ancestors(s.trigger) == \
+                    {producer[at] for at in closure if at in producer}, (i, variant)
 
 
 def test_heredity_on_random_runs():

@@ -41,8 +41,7 @@ HEREDITARY = (V.OBLIVIOUS, V.SEMI_OBLIVIOUS, V.RESTRICTED)
 def prefixes(derivation):
     """The derivation after 0, 1, ..., len(steps) steps, rebuilt by replay."""
     d = Derivation.start(derivation.variant,
-                         KnowledgeBase(derivation.initial, derivation.ruleset),
-                         derivation.naming_mode)
+                         KnowledgeBase(derivation.initial, derivation.ruleset))
     yield d
     for step in derivation.steps:
         d = d.extend(step.trigger, check=False)
