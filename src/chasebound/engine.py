@@ -5,19 +5,27 @@ procedures can branch freely without copying state by hand.  Atom ranks are
 fixed at first production; depth is the maximal atom rank, so a datalog step
 whose products already exist never increases depth.  The factbase is an
 ``IndexedAtoms``: ``extend`` inserts the step's new atoms into the parent's
-per-predicate index, so homomorphism searches against it never re-index.
+per-predicate and argument-position indexes, so homomorphism searches against
+it never re-index, and the restricted chase's check looks only at the atoms
+that share a frozen frontier image.  ``extend`` also files each new atom under
+(predicate, rank) and carries the depth along.
 
 A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
 rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
-atom of rank κ-1: the semi-naive delta.  Rank is structural, so
-``rank_triggers`` serves every variant and every path; ``enumerate_triggers``
-(all triggers on a whole factbase) stays as the reference it is checked
-against.  For the oblivious, semi-oblivious and restricted chases
-non-applicability is monotone: a trigger that is not applicable stays so as
-the derivation grows.  So once a rank is exhausted no lower rank needs another
-look, and one forward pass over a rank's candidates applies all it can.  The
-equivalent chase is not monotone (a trigger can wake up again), so it looks at
-every rank and rescans a rank's candidates from the start after each step.
+atom of rank κ-1: the semi-naive delta, read from the rank-(κ-1) buckets.
+Rank is structural, so ``rank_triggers`` serves every variant and every path;
+``enumerate_triggers`` (all triggers on a whole factbase) stays as the
+reference it is checked against.  A candidate from ``rank_triggers`` stays a
+trigger of every later derivation (factbases only grow), so the engine's own
+loops check its applicability without re-checking that its body embeds;
+``is_applicable`` keeps that check for triggers from outside.
+
+For the oblivious, semi-oblivious and restricted chases non-applicability is
+monotone: a trigger that is not applicable stays so as the derivation grows.
+So once a rank is exhausted no lower rank needs another look, and one forward
+pass over a rank's candidates applies all it can.  The equivalent chase is not
+monotone (a trigger can wake up again), so it looks at every rank and rescans
+a rank's candidates from the start after each step.
 
 Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -129,29 +137,35 @@ class Derivation:
     step that produced it, so its rank is that step's trigger rank and its
     direct ancestors are that trigger's body image; initial atoms have rank 0
     and no ancestors.  Nulls are named by the variant's default naming mode.
-    The factbase, the applied triggers and the frontier images seen are kept
-    as indexes for the applicability checks.
+    The factbase, the atoms by (predicate, rank), the depth, the applied
+    triggers and the frontier images seen are kept as indexes for trigger
+    enumeration and the applicability checks.
     """
 
     __slots__ = ("variant", "ruleset", "initial", "steps", "factbase",
-                 "_step_of", "applied", "_frontier_seen")
+                 "_step_of", "_by_rank", "_depth", "applied", "_frontier_seen")
 
     def __init__(self, variant: ChaseVariant, ruleset: RuleSet, initial: frozenset,
                  steps: tuple, factbase: IndexedAtoms, step_of: dict,
-                 applied: frozenset, frontier_seen: frozenset):
+                 by_rank: dict, depth: int, applied: frozenset,
+                 frontier_seen: frozenset):
         self.variant = variant
         self.ruleset = ruleset
         self.initial = initial
         self.steps = steps
         self.factbase = factbase
         self._step_of = step_of
+        self._by_rank = by_rank  # ((predicate, arity), rank) -> atoms; shared lists
+        self._depth = depth
         self.applied = applied
         self._frontier_seen = frontier_seen
 
     @classmethod
     def start(cls, variant: ChaseVariant, kb: KnowledgeBase) -> "Derivation":
         initial = frozenset(kb.factbase)
-        return cls(variant, kb.ruleset, initial, (), IndexedAtoms(initial), {},
+        factbase = IndexedAtoms(initial)
+        by_rank = {(key, 0): atoms for key, atoms in factbase.index.items()}
+        return cls(variant, kb.ruleset, initial, (), factbase, {}, by_rank, 0,
                    frozenset(), frozenset())
 
     @property
@@ -172,7 +186,7 @@ class Derivation:
         return 1 + max(map(self.atom_rank, self._checked_body(trigger)[1]))
 
     def depth(self) -> int:
-        return max((s.trigger_rank for s in self.steps if s.produced), default=0)
+        return self._depth
 
     def triggers(self) -> tuple:
         return tuple(s.trigger for s in self.steps)
@@ -263,10 +277,15 @@ class Derivation:
         step = DerivationStep(trigger, produced, len(factbase), trank)
         step_of = dict(self._step_of)
         step_of.update(dict.fromkeys(produced, step))
+        by_rank = dict(self._by_rank)
+        for a in sorted_atoms(produced):
+            key = (predicate_key(a), trank)
+            by_rank[key] = by_rank.get(key, []) + [a]
+        depth = max(self._depth, trank) if produced else self._depth
         frontier_seen = self._frontier_seen | {
             (rule.rule_id, frontier_image(rule, trigger.pi))}
         return Derivation(self.variant, self.ruleset, self.initial,
-                          self.steps + (step,), factbase, step_of,
+                          self.steps + (step,), factbase, step_of, by_rank, depth,
                           self.applied | {trigger}, frontier_seen)
 
     def has_frontier_equal(self, rule: Rule, pi: Substitution) -> bool:
@@ -293,37 +312,32 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
     body atom onto an atom of rank κ-1.  Each match is produced once, keyed by
     the first body position (in atom_sort_key order) bound to a rank-(κ-1)
     atom: earlier positions take atoms of rank < κ-1, later ones any atom of
-    rank <= κ-1.
+    rank <= κ-1.  The delta is a rank bucket; the lower-rank lists are built
+    only for the positions that need them, and once every atom has rank < r a
+    predicate's whole bucket is its list of atoms of rank < r.
     """
     last = kappa - 1
-    step_of = d._step_of
-    split: dict[tuple[str, int], tuple[list, list, list]] = {}
+    by_rank = d._by_rank
+    built: dict = {}
 
-    def by_rank(key: tuple[str, int]) -> tuple[list, list, list]:
-        # (older, delta, up to κ-1) atoms of one predicate.
-        if key not in split:
-            older, delta, upto = [], [], []
-            for a in d.factbase.index.get(key, ()):
-                step = step_of.get(a)
-                r = 0 if step is None else step.trigger_rank
-                if r < last:
-                    older.append(a)
-                    upto.append(a)
-                elif r == last:
-                    delta.append(a)
-                    upto.append(a)
-            split[key] = older, delta, upto
-        return split[key]
+    def below(key: tuple[str, int], r: int) -> list:
+        # The atoms of one predicate with rank < r.
+        if r > d._depth:
+            return d.factbase.index.get(key, [])
+        if (key, r) not in built:
+            built[key, r] = [a for q in range(r) for a in by_rank.get((key, q), ())]
+        return built[key, r]
 
     out: list[Trigger] = []
     for rule in d.ruleset:
         body = sorted_atoms(rule.body)
-        parts = [by_rank(predicate_key(a)) for a in body]
-        for i, (_, delta, _) in enumerate(parts):
+        keys = [predicate_key(a) for a in body]
+        for i, key in enumerate(keys):
+            delta = by_rank.get((key, last))
             if not delta:
                 continue
-            candidates = [p[0] for p in parts[:i]] + [delta] + \
-                [p[2] for p in parts[i + 1:]]
+            candidates = [below(k, last) for k in keys[:i]] + [delta] + \
+                [below(k, kappa) for k in keys[i + 1:]]
             out.extend(Trigger(rule.rule_id, pi)
                        for pi in positional_homomorphisms(body, candidates))
     out.sort(key=lambda t: trigger_sort_key(d.ruleset, t))
@@ -338,8 +352,7 @@ def _next_applicable(variant: ChaseVariant, d: Derivation,
     if variant is ChaseVariant.EQUIVALENT:
         start = 0
     return next((i for i in range(start, len(candidates))
-                 if candidates[i] not in d.applied
-                 and is_applicable(variant, d, candidates[i])), None)
+                 if _applicable(variant, d, candidates[i])), None)
 
 
 def is_applicable(variant: ChaseVariant, derivation: Derivation,
@@ -350,9 +363,17 @@ def is_applicable(variant: ChaseVariant, derivation: Derivation,
     the rule body into the current factbase; returns False for a trigger the
     derivation already contains (it cannot extend the derivation).
     """
-    rule = derivation._checked_body(trigger)[0]
+    derivation._checked_body(trigger)
+    return _applicable(variant, derivation, trigger)
+
+
+def _applicable(variant: ChaseVariant, derivation: Derivation,
+                trigger: Trigger) -> bool:
+    """``is_applicable`` for a trigger known to be one of the derivation's:
+    a candidate from ``rank_triggers`` on it or on a derivation it extends."""
     if trigger in derivation.applied:
         return False
+    rule = derivation._rule(trigger)
 
     if variant is ChaseVariant.OBLIVIOUS:
         return True
@@ -429,8 +450,7 @@ def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple
     ranked = [(kappa, t) for kappa in range(1, d.depth() + 2)
               for t in rank_triggers(d, kappa)]
     ranked.sort(key=lambda p: trigger_sort_key(d.ruleset, p[1]))
-    return [(kappa, t) for kappa, t in ranked
-            if t not in d.applied and is_applicable(variant, d, t)]
+    return [(kappa, t) for kappa, t in ranked if _applicable(variant, d, t)]
 
 
 def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int], list[Trigger]]:
@@ -553,7 +573,7 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
         # one forward pass re-checks each in turn, since order matters for R
         # and a skipped candidate stays inapplicable.
         for t in rank_triggers(out, kappa):
-            if t not in out.applied and is_applicable(variant, out, t):
+            if _applicable(variant, out, t):
                 out = out.extend(t, check=False)
     return out
 
@@ -630,8 +650,7 @@ def enumerate_breadth_first_derivations(
         # single canonical order goes on after its pick.
         budget.spend_step()
         if branch_orders:
-            choices = [(t, 0) for t in candidates
-                       if t not in d.applied and is_applicable(variant, d, t)]
+            choices = [(t, 0) for t in candidates if _applicable(variant, d, t)]
         else:
             i = _next_applicable(variant, d, candidates, start)
             choices = [] if i is None else [(candidates[i], i + 1)]

@@ -9,15 +9,20 @@ remappable unless explicitly frozen.
 Candidates come from a per-predicate index of the target, each list sorted by
 atom_sort_key.  An ``IndexedAtoms`` target carries that index with it and is
 searched as is; a chase derivation's factbase is one, grown step by step by
-sorted insertion of the new atoms only.  Any other target is indexed afresh on
-every call.  ``positional_homomorphisms`` takes explicit candidate lists, which
-is how the engine joins rule bodies against atoms of chosen ranks only.
+sorted insertion of the new atoms only.  It also carries an argument-position
+index, (predicate, arity, position, term) -> the predicate's atoms with that
+term at that position, in the same order; a source atom with a frozen argument
+(a constant or a ``frozen`` term) takes the shortest of these lists, so the
+restricted chase's check, whose frontier image is frozen, looks only at atoms
+that share it.  Any other target is indexed afresh by predicate on every call.
+``positional_homomorphisms`` takes explicit candidate lists, which is how the
+engine joins rule bodies against atoms of chosen ranks only.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CanonicalBudgetError
 from .terms import (
@@ -42,41 +47,63 @@ def _build_index(atoms: Iterable[Atom]) -> dict[tuple[str, int], list[Atom]]:
     return index
 
 
+def _position_keys(a: Atom) -> Iterator[tuple]:
+    return ((a.predicate, len(a.args), i, t) for i, t in enumerate(a.args))
+
+
+def _build_positions(index: dict) -> dict[tuple, list[Atom]]:
+    """(predicate, arity, position, term) -> the atoms of that predicate with
+    that term at that position, in index order."""
+    positions: dict[tuple, list[Atom]] = {}
+    for bucket in index.values():
+        for a in bucket:
+            for key in _position_keys(a):
+                positions.setdefault(key, []).append(a)
+    return positions
+
+
+def _insort_all(lists: dict, keys: Iterable, a: Atom, grown: set) -> None:
+    """Insert ``a`` in sort order into ``lists[key]`` for each key, copying a
+    list shared with the parent instance the first time it grows."""
+    for key in keys:
+        if key not in grown:
+            lists[key] = list(lists.get(key, ()))
+            grown.add(key)
+        bisect.insort(lists[key], a, key=atom_sort_key)
+
+
 class IndexedAtoms(frozenset):
-    """A frozenset of atoms carrying its per-predicate index.
+    """A frozenset of atoms carrying its per-predicate and argument-position
+    indexes.
 
     Set operators return plain frozensets (and ``frozenset(x)`` copies one
-    without the index); ``with_atoms`` is the way to grow an instance while
+    without the indexes); ``with_atoms`` is the way to grow an instance while
     keeping it indexed.  The index lists are shared between instances and
     must not be mutated.
     """
 
-    __slots__ = ("index",)
+    __slots__ = ("index", "positions")
 
-    def __new__(cls, atoms: Iterable[Atom] = (), index: Optional[dict] = None):
+    def __new__(cls, atoms: Iterable[Atom] = (), index: Optional[dict] = None,
+                positions: Optional[dict] = None):
         self = super().__new__(cls, atoms)
         self.index = _build_index(self) if index is None else index
+        self.positions = _build_positions(self.index) if positions is None else positions
         return self
 
     def with_atoms(self, new: frozenset) -> "IndexedAtoms":
-        """This set plus ``new``; only the lists of new atoms' predicates are
+        """This set plus ``new``; only the lists the new atoms fall in are
         copied, and each new atom is inserted in sort order."""
         new = new - self
         if not new:
             return self
         index = dict(self.index)
+        positions = dict(self.positions)
         grown: set = set()
         for a in new:
-            key = predicate_key(a)
-            if key not in grown:
-                index[key] = list(index.get(key, ()))
-                grown.add(key)
-            bisect.insort(index[key], a, key=atom_sort_key)
-        return IndexedAtoms(self | new, index)
-
-
-def _index_of(target: frozenset) -> dict:
-    return target.index if isinstance(target, IndexedAtoms) else _build_index(target)
+            _insort_all(index, (predicate_key(a),), a, grown)
+            _insort_all(positions, _position_keys(a), a, grown)
+        return IndexedAtoms(self | new, index, positions)
 
 
 def _is_frozen(term: Term, frozen: frozenset) -> bool:
@@ -132,9 +159,19 @@ def _run_search(pairs: Iterable[tuple[Atom, Sequence[Atom]]], frozen: frozenset,
     return results
 
 
-def _target_pairs(source: Iterable[Atom], target: frozenset) -> list:
-    index = _index_of(target)
-    return [(a, index.get(predicate_key(a), ())) for a in source]
+def _target_pairs(source: Iterable[Atom], target: frozenset,
+                  frozen: frozenset) -> list:
+    """Each source atom with its candidate target atoms: its predicate's
+    bucket, or on an ``IndexedAtoms`` target the shortest of that bucket and
+    the position lists of its frozen arguments."""
+    if not isinstance(target, IndexedAtoms):
+        index = _build_index(target)
+        return [(a, index.get(predicate_key(a), ())) for a in source]
+    index, positions = target.index, target.positions
+    return [(a, min([index.get(predicate_key(a), ())] +
+                    [positions.get(key, ()) for key in _position_keys(a)
+                     if _is_frozen(key[3], frozen)], key=len))
+            for a in source]
 
 
 def _assert_sound(sub: Substitution, source: frozenset, target: frozenset,
@@ -151,7 +188,7 @@ def find_homomorphism(source: frozenset, target: frozenset,
     The returned substitution is the identity on ``frozen`` and on constants
     (identity entries are simply absent from its domain).
     """
-    results = _run_search(_target_pairs(source, target), frozen, first_only=True)
+    results = _run_search(_target_pairs(source, target, frozen), frozen, first_only=True)
     if not results:
         return None
     sub = Substitution(results[0])
@@ -162,7 +199,7 @@ def find_homomorphism(source: frozenset, target: frozenset,
 def all_homomorphisms(source: frozenset, target: frozenset,
                       frozen: frozenset = frozenset()) -> list[Substitution]:
     """Every distinct homomorphism, in a deterministic (sorted) order."""
-    results = _run_search(_target_pairs(source, target), frozen, first_only=False)
+    results = _run_search(_target_pairs(source, target, frozen), frozen, first_only=False)
     subs = [Substitution(r) for r in results]
     for sub in subs:
         _assert_sound(sub, source, target, frozen)

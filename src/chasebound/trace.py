@@ -102,6 +102,23 @@ def _enum(kind, value):
         raise ReplayFailureError(f"unknown {kind.__name__} {value!r}")
 
 
+def _reject_unknown_term(step_no: int, name: str, text: str) -> None:
+    """ReplayFailureError for a substitution term absent from the factbase
+    replayed so far, which no trigger of the derivation can use.  The text is
+    parsed only to tell malformed or too deeply nested text apart; no trigger
+    is built from it, so a deep null's name is never printed back."""
+    try:
+        parse_term(text)
+    except ParseError as exc:
+        raise ReplayFailureError(
+            f"step {step_no}: substitution does not parse: {exc}")
+    except RecursionError:
+        raise ReplayFailureError(
+            f"step {step_no}: substitution term for {name} nests too deeply to parse")
+    raise ReplayFailureError(
+        f"step {step_no}: substitution term for {name} does not occur in the factbase")
+
+
 def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     """Replay a trace document into a Derivation; bit-exact or it raises."""
     try:
@@ -130,12 +147,11 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     terms = {str(t): t for a in kb.factbase for t in a.args}
     for i, step in enumerate(doc["steps"], start=1):
         rule_id = step["rule"]
-        try:
-            mapping = {Variable(name, rule_id):
-                       terms[text] if text in terms else parse_term(text)
-                       for name, text in step["substitution"].items()}
-        except ParseError as exc:
-            raise ReplayFailureError(f"step {i}: substitution does not parse: {exc}")
+        for name, text in step["substitution"].items():
+            if text not in terms:
+                _reject_unknown_term(i, name, text)
+        mapping = {Variable(name, rule_id): terms[text]
+                   for name, text in step["substitution"].items()}
         try:
             d = d.extend(Trigger(rule_id, Substitution(mapping)), check=False)
         except ChaseError as exc:

@@ -337,3 +337,27 @@ def test_kbounded_canonical_budget_exits_3(monkeypatch):
                             "--variant", "r", "--k", "1"])
     assert code == 3
     assert "canonical_form exceeded 1 search nodes" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "restrict"])
+@pytest.mark.parametrize("levels, reason", [
+    (300, "does not occur in the factbase"),
+    (1500, "nests too deeply to parse"),
+])
+def test_deep_unknown_null_in_substitution_is_replay_failure(
+        command, levels, reason, kb_file, tmp_path):
+    # A generated null that the replay has not produced cannot be part of a
+    # trigger; its name is neither printed back nor parsed past the
+    # interpreter's recursion limit.
+    def deepen(doc):
+        name = "a"
+        for _ in range(levels):
+            name = f"_:R1#{{X:{name},Y:b}}#Z"
+        doc["steps"][0]["substitution"]["X"] = name
+        return doc
+    argv = [command, "--trace", _mangled_trace(tmp_path, kb_file, deepen)]
+    if command == "restrict":
+        argv += ["--keep", "p(a,b)", "--out", str(tmp_path / "r.json")]
+    code, out, err = run_cli(argv)
+    assert code == 1 and not err
+    assert out == f"replay: failed (step 1: substitution term for X {reason})\n"

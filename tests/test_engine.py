@@ -175,7 +175,7 @@ def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
                             serialize_trace)
     from oracles import random_datalog_kb, random_kb
 
-    fast = engine.is_applicable
+    fast = engine._applicable
 
     def extension_path(variant, d, t):
         verdict = fast(variant, d, t)
@@ -208,5 +208,30 @@ def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
         d = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40).derivation
         for t in enumerate_triggers(d.factbase, d.ruleset):
             assert fast(V.RESTRICTED, d, t) == extension_path(V.RESTRICTED, d, t)
-    monkeypatch.setattr(engine, "is_applicable", extension_path)
+    monkeypatch.setattr(engine, "_applicable", extension_path)
     assert runs() == expected
+
+
+def test_restricted_parent_loop_scales_linearly(monkeypatch):
+    # Counts atom comparisons instead of timing.  The restricted check looks
+    # the frozen frontier image up in the factbase's argument-position index
+    # and each rank's delta is one atom, so every step of the parent loop
+    # compares a bounded number of atoms, however long the loop has run.
+    from chasebound import homomorphism, run_breadth_first
+
+    calls = [0]
+    match = homomorphism._match_atom
+
+    def counting(*args):
+        calls[0] += 1
+        return match(*args)
+
+    monkeypatch.setattr(homomorphism, "_match_atom", counting)
+    kb = load_example("ex1")
+    counts = []
+    for steps in (100, 200):
+        calls[0] = 0
+        res = run_breadth_first(V.RESTRICTED, kb, step_cap=steps)
+        assert len(res.derivation.steps) == steps
+        counts.append(calls[0])
+    assert 0 < counts[1] <= 2 * counts[0], counts

@@ -21,6 +21,7 @@ from chasebound import (
     is_isomorphic,
 )
 from chasebound.errors import CanonicalBudgetError
+from chasebound.homomorphism import IndexedAtoms
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -99,6 +100,47 @@ def test_all_homomorphisms_matches_brute_force_on_random_inputs():
                             if not isinstance(t, Constant)})
                 for s in brute_force_homomorphisms(source, target)}
         assert got == want
+
+
+def test_indexed_target_with_frozen_terms_matches_plain_target_and_brute_force():
+    # On an IndexedAtoms target a source atom with a frozen argument searches
+    # only the target atoms with that term at that position; the answers must
+    # be those of the plain-frozenset path and of brute force.
+    rng = random.Random(4822)
+    preds = [("p", 2), ("q", 1), ("r", 3)]
+    movable = [x, y, w, n0]
+
+    def rand_atoms(terms, n):
+        out = set()
+        for _ in range(n):
+            name, arity = rng.choice(preds)
+            out.add(Atom(name, tuple(rng.choice(terms) for _ in range(arity))))
+        return out
+
+    found = 0
+    for _ in range(300):
+        source = frozenset(rand_atoms([a, b] + movable, rng.randint(1, 3)))
+        frozen = frozenset(rng.sample(movable, rng.randint(0, len(movable))))
+        target_atoms = sorted(rand_atoms([a, b, c, x, w, n0, n1], rng.randint(1, 12)),
+                              key=str)
+        # Grow the indexed target in two parts, as a derivation does.
+        cut = rng.randint(0, len(target_atoms))
+        indexed = IndexedAtoms(target_atoms[:cut]).with_atoms(frozenset(target_atoms[cut:]))
+        plain = frozenset(target_atoms)
+        assert indexed == plain
+
+        got = all_homomorphisms(source, indexed, frozen)
+        assert got == all_homomorphisms(source, plain, frozen)
+        moved = {t for at in source for t in at.args
+                 if not isinstance(t, Constant) and t not in frozen}
+        want = {s.restrict(moved)
+                for s in brute_force_homomorphisms(source, plain, frozen)}
+        assert set(got) == want
+        sub = find_homomorphism(source, indexed, frozen)
+        assert (sub is None) == (find_homomorphism(source, plain, frozen) is None) \
+            == (not want)
+        found += sub is not None
+    assert 30 < found < 270
 
 
 def test_is_isomorphic_swapped_constants():

@@ -8,6 +8,7 @@ the whole-factbase computation it replaces (``oracles.oracle_*``,
 ``enumerate_triggers``, a fresh ``sorted_atoms`` index).
 """
 
+import itertools
 import random
 
 from chasebound import (
@@ -16,6 +17,7 @@ from chasebound import (
     HaltReason,
     KnowledgeBase,
     enumerate_triggers,
+    is_applicable,
     parse_kb,
     rank_triggers,
     run_breadth_first,
@@ -23,7 +25,7 @@ from chasebound import (
     serialize_trace,
     verify_derivation,
 )
-from chasebound.engine import _rank_candidates
+from chasebound.engine import _applicable, _rank_candidates
 from chasebound.terms import sorted_atoms
 
 from oracles import (
@@ -66,27 +68,75 @@ def fresh_index(atoms):
     return index
 
 
-def breadth_first_runs(seed, count=25):
+def fresh_positions(atoms):
+    positions = {}
+    for a in sorted_atoms(atoms):
+        for i, t in enumerate(a.args):
+            positions.setdefault((a.predicate, len(a.args), i, t), []).append(a)
+    return positions
+
+
+def breadth_first_runs(seed, count=25, step_cap=30):
     rng = random.Random(seed)
     for i in range(count):
         kb = random_kb(rng)
         for variant in HEREDITARY:
-            yield i, variant, run_breadth_first(variant, kb, depth_cap=3, step_cap=30)
+            yield i, variant, run_breadth_first(variant, kb, depth_cap=3, step_cap=step_cap)
+
+
+def random_order_runs(seed, count=25, step_cap=30):
+    """Fair random-order runs: not rank-first, so an atom of a low rank can
+    come after atoms of higher ranks."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kb = random_kb(rng)
+        for variant in HEREDITARY:
+            yield i, variant, run_random_exhaustive(variant, kb, seed=i, step_cap=step_cap)
 
 
 def test_carried_index_matches_rebuild():
     for i, variant, res in breadth_first_runs(31):
         for d in prefixes(res.derivation):
             assert d.factbase.index == fresh_index(d.factbase), (i, variant)
+            assert d.factbase.positions == fresh_positions(d.factbase), (i, variant)
+
+
+def rank_incompatible(derivation):
+    ranks = [s.trigger_rank for s in derivation.steps]
+    return ranks != sorted(ranks)
 
 
 def test_rank_triggers_match_rank_filter():
-    for i, variant, res in breadth_first_runs(32):
+    # The random-order runs are not rank-compatible, so below the depth the
+    # lists of lower-rank atoms are not whole predicate buckets.
+    random_runs = list(random_order_runs(37))
+    assert sum(rank_incompatible(res.derivation) for *_, res in random_runs) >= 5
+    for i, variant, res in itertools.chain(breadth_first_runs(32), random_runs):
         for d in prefixes(res.derivation):
             every = enumerate_triggers(d.factbase, d.ruleset)
             for kappa in range(0, d.depth() + 3):
                 want = [t for t in every if d.trigger_rank_of(t) == kappa]
                 assert rank_triggers(d, kappa) == want, (i, variant, kappa)
+
+
+def test_trusted_applicability_matches_is_applicable():
+    # The engine's loops skip the body-embedding check for candidates from
+    # rank_triggers on the same derivation or on a prefix of it.
+    runs = itertools.chain(breadth_first_runs(38, count=12, step_cap=15),
+                           random_order_runs(39, count=12, step_cap=15))
+    checked = 0
+    for i, variant, res in runs:
+        parent_candidates = []
+        for d in prefixes(res.derivation):
+            candidates = [t for kappa in range(1, d.depth() + 2)
+                          for t in rank_triggers(d, kappa)]
+            for t in dict.fromkeys(candidates + parent_candidates):
+                for check in V:
+                    assert _applicable(check, d, t) == \
+                        is_applicable(check, d, t), (i, variant, check, t)
+                    checked += 1
+            parent_candidates = candidates
+    assert checked > 1000
 
 
 def test_rank_candidates_match_oracle_at_rank_boundaries():
