@@ -39,27 +39,22 @@ def predicate_key(a: Atom) -> tuple[str, int]:
     return a.predicate, len(a.args)
 
 
-def _build_index(atoms: Iterable[Atom]) -> dict[tuple[str, int], list[Atom]]:
-    """(predicate, arity) -> that predicate's atoms sorted by atom_sort_key."""
-    index: dict[tuple[str, int], list[Atom]] = {}
-    for a in sorted_atoms(atoms):
-        index.setdefault(predicate_key(a), []).append(a)
-    return index
+def _predicate_keys(a: Atom) -> tuple:
+    return (predicate_key(a),)
 
 
 def _position_keys(a: Atom) -> Iterator[tuple]:
     return ((a.predicate, len(a.args), i, t) for i, t in enumerate(a.args))
 
 
-def _build_positions(index: dict) -> dict[tuple, list[Atom]]:
-    """(predicate, arity, position, term) -> the atoms of that predicate with
-    that term at that position, in index order."""
-    positions: dict[tuple, list[Atom]] = {}
-    for bucket in index.values():
-        for a in bucket:
-            for key in _position_keys(a):
-                positions.setdefault(key, []).append(a)
-    return positions
+def _build_index(atoms: Iterable[Atom], keys=_predicate_keys) -> dict[tuple, list[Atom]]:
+    """Each key of ``keys(a)`` -> the atoms filed under it, sorted by
+    atom_sort_key: by default (predicate, arity) -> that predicate's atoms."""
+    index: dict[tuple, list[Atom]] = {}
+    for a in sorted_atoms(atoms):
+        for key in keys(a):
+            index.setdefault(key, []).append(a)
+    return index
 
 
 def _insort_all(lists: dict, keys: Iterable, a: Atom, grown: set) -> None:
@@ -88,7 +83,8 @@ class IndexedAtoms(frozenset):
                 positions: Optional[dict] = None):
         self = super().__new__(cls, atoms)
         self.index = _build_index(self) if index is None else index
-        self.positions = _build_positions(self.index) if positions is None else positions
+        self.positions = _build_index(self, _position_keys) if positions is None \
+            else positions
         return self
 
     def with_atoms(self, new: frozenset) -> "IndexedAtoms":
@@ -101,7 +97,7 @@ class IndexedAtoms(frozenset):
         positions = dict(self.positions)
         grown: set = set()
         for a in new:
-            _insort_all(index, (predicate_key(a),), a, grown)
+            _insort_all(index, _predicate_keys(a), a, grown)
             _insort_all(positions, _position_keys(a), a, grown)
         return IndexedAtoms(self | new, index, positions)
 
