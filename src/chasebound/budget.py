@@ -30,7 +30,7 @@ class Budget:
 
     def _fail(self, what: str) -> None:
         raise BudgetExceededError(
-            f"budget exceeded ({what}) after {self.steps} steps / {self.items} items",
+            f"{what} limit reached after {self.steps} steps / {self.items} items",
             steps=self.steps, items=self.items, elapsed_ms=self.elapsed_ms)
 
     def spend_step(self, n: int = 1) -> None:

@@ -13,19 +13,24 @@ that share a frozen frontier image.  ``extend`` also files each new atom under
 A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
 rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
 atom of rank κ-1: the semi-naive delta, read from the rank-(κ-1) buckets.
-Rank is structural, so ``rank_triggers`` serves every variant and every path;
+Rank is structural, so one rank join serves every variant and every path.  It
+runs each rule's compiled body (``Rule.join``), which binds slots and yields
+image tuples; ``rank_triggers`` turns them all into triggers, and
 ``enumerate_triggers`` (all triggers on a whole factbase) stays as the
-reference it is checked against.  A candidate from ``rank_triggers`` stays a
-trigger of every later derivation (factbases only grow), so the engine's own
-loops check its applicability without re-checking that its body embeds;
-``is_applicable`` keeps that check for triggers from outside.
+reference it is checked against.  A rank's candidate stays a trigger of every
+later derivation (factbases only grow), so the engine's own loops check its
+applicability without re-checking that its body embeds; ``is_applicable``
+keeps that check for triggers from outside.
 
 For the oblivious, semi-oblivious and restricted chases non-applicability is
 monotone: a trigger that is not applicable stays so as the derivation grows.
-So once a rank is exhausted no lower rank needs another look, and one forward
-pass over a rank's candidates applies all it can.  The equivalent chase is not
-monotone (a trigger can wake up again), so it looks at every rank and rescans
-a rank's candidates from the start after each step.
+So once a rank is exhausted no lower rank needs another look, one forward pass
+over a rank's candidates applies all it can, and a candidate that is not
+applicable when its rank opens can be dropped before it becomes a trigger
+(the so and datalog-r conditions are checked on the image tuple itself).  The
+equivalent chase is not monotone (a trigger can wake up again), so it keeps
+every unapplied candidate, looks at every rank and rescans a rank's
+candidates from the start after each step.
 
 Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -55,7 +60,6 @@ from .homomorphism import (
     IndexedAtoms,
     all_homomorphisms,
     find_homomorphism,
-    positional_homomorphisms,
     predicate_key,
 )
 from .rules import KnowledgeBase, Rule, RuleSet
@@ -304,9 +308,9 @@ def enumerate_triggers(factbase: frozenset, rs: RuleSet) -> list[Trigger]:
             for rule in rs for pi in all_homomorphisms(rule.body, factbase)]
 
 
-def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
-    """Every trigger of rank ``kappa`` on the derivation, applied or not,
-    sorted by trigger_sort_key.
+def _rank_images(d: Derivation, kappa: int) -> Iterator[tuple[Rule, list[tuple]]]:
+    """Per rule, in ruleset order, the image tuples (``Rule.join`` slots) of
+    its triggers of rank ``kappa``, applied or not, in no particular order.
 
     Semi-naive join: the body maps onto atoms of rank <= κ-1 and at least one
     body atom onto an atom of rank κ-1.  Each match is produced once, keyed by
@@ -328,19 +332,60 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
             built[key, r] = [a for q in range(r) for a in by_rank.get((key, q), ())]
         return built[key, r]
 
-    out: list[Trigger] = []
     for rule in d.ruleset:
-        body = sorted_atoms(rule.body)
-        keys = [predicate_key(a) for a in body]
+        join = rule.join
+        keys = join.keys
+        images: list[tuple] = []
         for i, key in enumerate(keys):
             delta = by_rank.get((key, last))
-            if not delta:
-                continue
-            candidates = [below(k, last) for k in keys[:i]] + [delta] + \
-                [below(k, kappa) for k in keys[i + 1:]]
-            out.extend(Trigger(rule.rule_id, pi)
-                       for pi in positional_homomorphisms(body, candidates))
-    out.sort(key=lambda t: trigger_sort_key(d.ruleset, t))
+            if delta:
+                join.matches([below(k, last) for k in keys[:i]] + [delta] +
+                             [below(k, kappa) for k in keys[i + 1:]], images)
+        if images:
+            yield rule, images
+
+
+def _triggers(rule: Rule, images: list[tuple]) -> list[Trigger]:
+    """The triggers of one rule's image tuples, sorted by trigger_sort_key."""
+    join = rule.join
+    return [Trigger(rule.rule_id, join.substitution(im))
+            for im in sorted(images, key=join.image_key)]
+
+
+def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
+    """Every trigger of rank ``kappa`` on the derivation, applied or not,
+    sorted by trigger_sort_key."""
+    return [t for rule, images in _rank_images(d, kappa)
+            for t in _triggers(rule, images)]
+
+
+def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int,
+                   everything: bool = False) -> list[Trigger]:
+    """The unapplied triggers of rank ``kappa``, sorted by trigger_sort_key.
+
+    For o/so/r (unless ``everything``) only those applicable on ``d``: by
+    monotonicity the others never become applicable as ``d`` grows, so a pass
+    over a rank opened on ``d`` would skip them anyway.  Callers still check
+    each one when they pick it.  The so and datalog-r conditions are checked
+    on the image tuples, before any trigger is built; an applied trigger fails
+    both.  The equivalent chase keeps every unapplied trigger: its triggers
+    can wake up again.
+    """
+    filtered = not everything and variant is not ChaseVariant.EQUIVALENT
+    out: list[Trigger] = []
+    for rule, images in _rank_images(d, kappa):
+        join = rule.join
+        if not filtered or variant is ChaseVariant.OBLIVIOUS:
+            # Being applied is all that makes an o trigger inapplicable.
+            out += [t for t in _triggers(rule, images) if t not in d.applied]
+        elif variant is ChaseVariant.SEMI_OBLIVIOUS:
+            out += _triggers(rule, [im for im in images if (
+                rule.rule_id, join.frontier_image(im)) not in d._frontier_seen])
+        elif rule.is_datalog:
+            out += _triggers(rule, [im for im in images
+                                    if not join.head_within(im, d.factbase)])
+        else:
+            out += [t for t in _triggers(rule, images) if _applicable(variant, d, t)]
     return out
 
 
@@ -448,28 +493,33 @@ def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple
     """Every unapplied applicable trigger of any rank, with its rank, in
     trigger_sort_key order (the order of ``enumerate_triggers``)."""
     ranked = [(kappa, t) for kappa in range(1, d.depth() + 2)
-              for t in rank_triggers(d, kappa)]
+              for t in _open_triggers(variant, d, kappa)]
+    if variant is ChaseVariant.EQUIVALENT:
+        ranked = [(kappa, t) for kappa, t in ranked if _applicable(variant, d, t)]
     ranked.sort(key=lambda p: trigger_sort_key(d.ruleset, p[1]))
-    return [(kappa, t) for kappa, t in ranked if _applicable(variant, d, t)]
+    return ranked
 
 
-def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int], list[Trigger]]:
+def _rank_candidates(variant: ChaseVariant, d: Derivation,
+                     everything: bool = False) -> tuple[Optional[int], list[Trigger]]:
     """Smallest trigger rank with an applicable trigger left, together with
-    ALL unapplied triggers of that rank (applicable or not right now), sorted
-    canonically.  (None, []) when nothing is applicable at any rank.
+    that rank's ``_open_triggers`` on ``d``, sorted canonically: for o/so/r
+    the applicable ones, for the equivalent chase or with ``everything`` all
+    unapplied ones.  (None, []) when nothing is applicable at any rank.
 
     ``d`` must be a breadth-first derivation whose last rank is exhausted.
     For o/so/r every lower rank then stays exhausted, so the only rank to look
     at is the last step's rank + 1; the equivalent chase looks at every rank.
     """
+    filtered = not everything and variant is not ChaseVariant.EQUIVALENT
     if variant is ChaseVariant.EQUIVALENT:
         ranks = range(1, d.depth() + 2)
     else:
         last = d.steps[-1].trigger_rank if d.steps else 0
         ranks = range(last + 1, last + 2)
     for kappa in ranks:
-        group = [t for t in rank_triggers(d, kappa) if t not in d.applied]
-        if _next_applicable(variant, d, group) is not None:
+        group = _open_triggers(variant, d, kappa, everything)
+        if group if filtered else _next_applicable(variant, d, group) is not None:
             return kappa, group
     return None, []
 
@@ -497,9 +547,7 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
         nonlocal exhaustion, exhausted_at
         k = ranks[-1]
         if monotone and ordering is None:
-            triggers = rank_triggers(prefix, k)
-            i = _next_applicable(variant, prefix, triggers)
-            violator = None if i is None else (k, triggers[i])
+            violator = next(((k, t) for t in _open_triggers(variant, prefix, k)), None)
         else:
             violator = next(((rank, t) for rank, t in _applicable_new_triggers(variant, prefix)
                              if rank != k + 1), None)
@@ -534,9 +582,8 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
     if monotone and ordering is None:
         last = ranks[-1] if ranks else 0
         start = exhausted_at if exhausted_at is not None else last + 1
-        terminating = all(
-            _next_applicable(variant, replay, rank_triggers(replay, kappa)) is None
-            for kappa in range(start, last + 2))
+        terminating = not any(_open_triggers(variant, replay, kappa)
+                              for kappa in range(start, last + 2))
     else:
         terminating = not _applicable_new_triggers(variant, replay)
     violations = applicability + [v for v in (ordering, exhaustion) if v]
@@ -572,7 +619,7 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
         # Candidates of this rank are fixed once the previous rank is done;
         # one forward pass re-checks each in turn, since order matters for R
         # and a skipped candidate stays inapplicable.
-        for t in rank_triggers(out, kappa):
+        for t in _open_triggers(variant, out, kappa):
             if _applicable(variant, out, t):
                 out = out.extend(t, check=False)
     return out
@@ -603,7 +650,9 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     rng = random.Random(seed) if policy == "random" else None
     d = Derivation.start(variant, kb)
     while True:
-        kappa, candidates = _rank_candidates(variant, d)
+        # The shuffle takes as many draws as the group has triggers, so a
+        # random run shuffles every unapplied trigger of the rank.
+        kappa, candidates = _rank_candidates(variant, d, everything=rng is not None)
         if kappa is None:
             return ChaseResult(d, HaltReason.TERMINATED)
         if rng is not None:

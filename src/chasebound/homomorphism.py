@@ -15,8 +15,8 @@ term at that position, in the same order; a source atom with a frozen argument
 (a constant or a ``frozen`` term) takes the shortest of these lists, so the
 restricted chase's check, whose frontier image is frozen, looks only at atoms
 that share it.  Any other target is indexed afresh by predicate on every call.
-``positional_homomorphisms`` takes explicit candidate lists, which is how the
-engine joins rule bodies against atoms of chosen ranks only.
+The engine joins rule bodies against atoms of chosen ranks with its own
+compiled join (``rules.BodyJoin``), not with this searcher.
 """
 
 from __future__ import annotations
@@ -200,14 +200,6 @@ def all_homomorphisms(source: frozenset, target: frozenset,
     for sub in subs:
         _assert_sound(sub, source, target, frozen)
     return sorted(subs, key=Substitution.sort_key)
-
-
-def positional_homomorphisms(source: Sequence[Atom],
-                             candidates: Sequence[Sequence[Atom]]) -> list[Substitution]:
-    """Every substitution mapping each ``source[i]`` onto an atom of
-    ``candidates[i]`` (constants fixed), in no particular order."""
-    return [Substitution(r)
-            for r in _run_search(zip(source, candidates), frozenset(), first_only=False)]
 
 
 def homomorphic_equivalent(a: frozenset, b: frozenset) -> bool:

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ChaseError, EmptyBodyError, EmptyHeadError
 from .terms import (
     Atom,
     InitialNull,
     Null,
+    Substitution,
     Variable,
     constants_of,
     nulls_of,
     sorted_atoms,
+    term_sort_key,
     variables_of,
 )
 
@@ -39,6 +42,119 @@ class Rule:
         b = ", ".join(str(a) for a in sorted_atoms(self.body))
         h = ", ".join(str(a) for a in sorted_atoms(self.head))
         return f"[{self.rule_id}] {b} -> {h}."
+
+    @cached_property
+    def join(self) -> "BodyJoin":
+        return BodyJoin(self)
+
+
+class BodyJoin:
+    """A rule body compiled for joins that bind slots, not dicts.
+
+    The body atoms are in atom_sort_key order, with their predicate keys.
+    Slot i holds the image of ``variables[i]``; the variables are in
+    term_sort_key order, the order of ``Substitution._key``, so the image
+    tuples of one rule compare as their triggers do (``image_key``).  Body
+    constants sit in the slots after the variables.  For each join order a
+    plan says, per body atom and argument, which slot it must equal (a
+    constant or a variable bound earlier), which slot it binds, and which slot
+    bound by the same atom it must equal.  Head templates (slot numbers, head
+    constants after the variables) and frontier slots let the engine check the
+    so and datalog-r conditions on an image tuple (``frontier_image``,
+    ``head_within``).
+    """
+
+    __slots__ = ("body", "keys", "variables", "_slots", "_head", "_head_terms",
+                 "_frontier", "_plans")
+
+    def __init__(self, rule: Rule):
+        self.body = tuple(sorted_atoms(rule.body))
+        self.keys = tuple((a.predicate, len(a.args)) for a in self.body)
+        self.variables = tuple(sorted(rule.body_vars, key=term_sort_key))
+        consts = sorted(constants_of(rule.body), key=term_sort_key)
+        self._slots = list(self.variables) + consts
+        head = sorted_atoms(rule.head)
+        self._head_terms = tuple(sorted({t for a in head for t in a.args} - rule.body_vars,
+                                        key=term_sort_key))
+        slot = {t: i for i, t in enumerate(self.variables + self._head_terms)}
+        self._head = tuple((a.predicate, tuple(slot[t] for t in a.args)) for a in head)
+        self._frontier = tuple(slot[v] for v in rule.frontier_order)
+        self._plans: dict = {}
+
+    def _plan(self, order: tuple) -> tuple:
+        plan = self._plans.get(order)
+        if plan is None:
+            slot = {t: i for i, t in enumerate(self._slots)}
+            bound = set(range(len(self.variables), len(self._slots)))
+            plan = []
+            for pos in order:
+                tests, binds, repeats = [], [], []
+                here: set = set()
+                for i, t in enumerate(self.body[pos].args):
+                    s = slot[t]
+                    if s in bound:
+                        tests.append((i, s))
+                    elif s in here:
+                        repeats.append((i, s))
+                    else:
+                        binds.append((i, s))
+                        here.add(s)
+                bound |= here
+                plan.append((pos, tuple(tests), tuple(binds), tuple(repeats)))
+            plan = self._plans[order] = tuple(plan)
+        return plan
+
+    def matches(self, lists: Sequence[Sequence[Atom]], out: list) -> None:
+        """Append to ``out`` the image tuple of every match of ``body[i]``
+        onto an atom of ``lists[i]`` for all i, shortest list joined first."""
+        if not all(lists):
+            return
+        order = tuple(sorted(range(len(lists)), key=lambda i: len(lists[i])))
+        slots = list(self._slots)
+        _join(self._plan(order), 0, lists, slots, len(self.variables), out)
+
+    def image_key(self, images: tuple) -> tuple:
+        return tuple(map(term_sort_key, images))
+
+    def substitution(self, images: tuple) -> Substitution:
+        return Substitution(zip(self.variables, images))
+
+    def frontier_image(self, images: tuple) -> tuple:
+        """``engine.frontier_image`` of the trigger with these images."""
+        return tuple(images[s] for s in self._frontier)
+
+    def head_within(self, images: tuple, atoms: frozenset) -> bool:
+        """Whether the head under the image tuple lies in ``atoms``; for a
+        datalog rule, whose head variables all have images."""
+        terms = (images + self._head_terms).__getitem__
+        for p, args in self._head:
+            if Atom(p, tuple(map(terms, args))) not in atoms:
+                return False
+        return True
+
+
+def _join(plan: tuple, depth: int, lists: Sequence[Sequence[Atom]], slots: list,
+          n: int, out: list) -> None:
+    # A slot is bound by one plan step only, so a failed match needs no undo:
+    # the next candidate atom overwrites what this one bound.
+    pos, tests, binds, repeats = plan[depth]
+    leaf = depth + 1 == len(plan)
+    for a in lists[pos]:
+        args = a.args
+        for i, s in tests:
+            if args[i] != slots[s]:
+                break
+        else:
+            for i, s in binds:
+                slots[s] = args[i]
+            for i, s in repeats:
+                if args[i] != slots[s]:
+                    break
+            else:
+                if leaf:
+                    out.append(tuple(slots[:n]))
+                else:
+                    _join(plan, depth + 1, lists, slots, n, out)
 
 
 def derive_rule_metadata(rule_id: str, body: Iterable[Atom], head: Iterable[Atom]) -> Rule:

@@ -110,7 +110,8 @@ def test_kbounded_budget_exit_3():
                             "--variant", "r", "--k", "1",
                             "--budget-steps", "40"])
     assert code == 3
-    assert "budget" in err
+    assert err.splitlines()[-1] == \
+        "budget exceeded: steps limit reached after 41 steps / 7 items"
 
 
 def test_kbounded_rejects_variant_e():

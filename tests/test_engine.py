@@ -213,20 +213,32 @@ def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
 
 
 def test_restricted_parent_loop_scales_linearly(monkeypatch):
-    # Counts atom comparisons instead of timing.  The restricted check looks
+    # Counts atom comparisons instead of timing: those of the homomorphism
+    # search and the atoms the rank join visits.  The restricted check looks
     # the frozen frontier image up in the factbase's argument-position index
     # and each rank's delta is one atom, so every step of the parent loop
     # compares a bounded number of atoms, however long the loop has run.
-    from chasebound import homomorphism, run_breadth_first
+    from chasebound import homomorphism, rules, run_breadth_first
 
     calls = [0]
     match = homomorphism._match_atom
+    matches = rules.BodyJoin.matches
 
     def counting(*args):
         calls[0] += 1
         return match(*args)
 
+    class Visited(list):
+        def __iter__(self):
+            for a in list.__iter__(self):
+                calls[0] += 1
+                yield a
+
+    def counting_matches(join, lists, out):
+        return matches(join, [Visited(atoms) for atoms in lists], out)
+
     monkeypatch.setattr(homomorphism, "_match_atom", counting)
+    monkeypatch.setattr(rules.BodyJoin, "matches", counting_matches)
     kb = load_example("ex1")
     counts = []
     for steps in (100, 200):

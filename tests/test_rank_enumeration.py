@@ -16,8 +16,11 @@ from chasebound import (
     Derivation,
     HaltReason,
     KnowledgeBase,
+    RuleSet,
+    derive_rule_metadata,
     enumerate_triggers,
     is_applicable,
+    parse_atom,
     parse_kb,
     rank_triggers,
     run_breadth_first,
@@ -76,11 +79,11 @@ def fresh_positions(atoms):
     return positions
 
 
-def breadth_first_runs(seed, count=25, step_cap=30):
+def breadth_first_runs(seed, count=25, step_cap=30, variants=HEREDITARY):
     rng = random.Random(seed)
     for i in range(count):
         kb = random_kb(rng)
-        for variant in HEREDITARY:
+        for variant in variants:
             yield i, variant, run_breadth_first(variant, kb, depth_cap=3, step_cap=step_cap)
 
 
@@ -92,6 +95,27 @@ def random_order_runs(seed, count=25, step_cap=30):
         kb = random_kb(rng)
         for variant in HEREDITARY:
             yield i, variant, run_random_exhaustive(variant, kb, seed=i, step_cap=step_cap)
+
+
+def _rule(rule_id, body, head):
+    return derive_rule_metadata(rule_id, map(parse_atom, body), map(parse_atom, head))
+
+
+# Join edge cases: a repeated variable inside one atom (J1), a body constant
+# (J2), a 3-atom body (J3) and ``q`` at two arities, which ``parse_kb``
+# rejects but the engine keys apart by (predicate, arity).
+JOIN_KB = KnowledgeBase(
+    frozenset(map(parse_atom, ["p(a,a)", "p(a,b)", "p(b,b)", "q(a)", "q(a,b)", "r(b,c)"])),
+    RuleSet([_rule("J1", ["p(X,X)"], ["q(X)"]),
+             _rule("J2", ["r(X,c)", "p(Y,X)"], ["q(Y,X)"]),
+             _rule("J3", ["q(X)", "p(X,Y)", "q(X,Y)"], ["r(Y,Z)", "p(Z,Y)"]),
+             _rule("J4", ["r(X,Y)", "p(Y,X)"], ["r(Y,c)"])]))
+
+
+def join_kb_runs():
+    for variant in V:
+        yield "join", variant, run_breadth_first(variant, JOIN_KB, depth_cap=3, step_cap=30)
+        yield "join", variant, run_random_exhaustive(variant, JOIN_KB, seed=1, step_cap=30)
 
 
 def test_carried_index_matches_rebuild():
@@ -111,7 +135,8 @@ def test_rank_triggers_match_rank_filter():
     # lists of lower-rank atoms are not whole predicate buckets.
     random_runs = list(random_order_runs(37))
     assert sum(rank_incompatible(res.derivation) for *_, res in random_runs) >= 5
-    for i, variant, res in itertools.chain(breadth_first_runs(32), random_runs):
+    for i, variant, res in itertools.chain(breadth_first_runs(32), random_runs,
+                                           join_kb_runs()):
         for d in prefixes(res.derivation):
             every = enumerate_triggers(d.factbase, d.ruleset)
             for kappa in range(0, d.depth() + 3):
@@ -140,7 +165,7 @@ def test_trusted_applicability_matches_is_applicable():
 
 
 def test_rank_candidates_match_oracle_at_rank_boundaries():
-    for i, variant, res in breadth_first_runs(33):
+    for i, variant, res in breadth_first_runs(33, variants=tuple(V)):
         steps = res.derivation.steps
         # The runner asks for the next rank after the last step of a rank;
         # the final state counts only when the run exhausted it.
@@ -150,8 +175,16 @@ def test_rank_candidates_match_oracle_at_rank_boundaries():
             else:
                 exhausted = n == 0 or steps[n].trigger_rank != steps[n - 1].trigger_rank
             if exhausted:
-                assert _rank_candidates(variant, d) == \
-                    oracle_rank_candidates(variant, d), (i, variant, n)
+                kappa, group = oracle_rank_candidates(variant, d)
+                assert _rank_candidates(variant, d, everything=True) == \
+                    (kappa, group), (i, variant, n)
+                # For o/so/r the engine drops what is not applicable when the
+                # rank opens: by monotonicity it never becomes applicable.  An
+                # equivalent-chase trigger can wake up, so e keeps them all.
+                if variant is not V.EQUIVALENT:
+                    group = [t for t in group if is_applicable(variant, d, t)]
+                assert _rank_candidates(variant, d) == (kappa, group), \
+                    (i, variant, n)
 
 
 # An equivalent-chase trigger that wakes up within its rank: (R1,{X:v1,Y:w})
@@ -167,7 +200,7 @@ def test_runner_matches_rescan_oracle():
     # application; the runner's forward pass must pick the same triggers.
     rng = random.Random(36)
     kbs = [WAKING_KB] + [make(rng) for _ in range(12)
-                         for make in (random_kb, random_datalog_kb)]
+                         for make in (random_kb, random_datalog_kb)] + [JOIN_KB]
     for i, kb in enumerate(kbs):
         for variant in V:
             for policy, seed in (("det", None), ("random", i)):
