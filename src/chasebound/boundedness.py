@@ -11,7 +11,6 @@ b^(k+1); the larger ("safe") bound is the default.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -233,6 +232,29 @@ def _scan_chunk(args) -> tuple[Optional[Witness], list[int]]:
     return _first_witness(q, factbases, q.budget())
 
 
+def _scan_batch(pool, q: BoundedQuery, batch: list[frozenset], jobs: int
+                ) -> tuple[Optional[Witness], list[int]]:
+    """``_first_witness`` over ``batch``, dealt round-robin to ``jobs`` chunks
+    of the pool."""
+    results = list(pool.map(_scan_chunk,
+                            [(q, batch[j::jobs]) for j in range(jobs)]))
+    # Chunk j holds factbases j, j + jobs, ...  Each chunk stops at or after
+    # the lowest witness index, so every factbase up to it was searched:
+    # report what a single job reports.
+    counts = [0] * len(batch)
+    hits = []
+    for j, (witness, chunk_counts) in enumerate(results):
+        searched = range(j, len(batch), jobs)[:len(chunk_counts)]
+        for i, n in zip(searched, chunk_counts):
+            counts[i] = n
+        if witness is not None:
+            hits.append((searched[-1], witness))
+    if not hits:
+        return None, counts
+    idx, witness = min(hits, key=lambda h: h[0])
+    return witness, counts[:idx + 1]
+
+
 def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     """Decide X-k-boundedness by examining every representative factbase.
 
@@ -240,9 +262,12 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     new atom of rank k+1; the search stops at the first such atom, which is a
     certificate of depth >= k+1.  The witness is re-verified before returning.
 
-    With ``jobs`` > 1 the factbases are dealt round-robin to that many worker
-    processes, each with its own budget.  The first witness by factbase index
-    wins, so neither the verdict nor the counters depend on scheduling.
+    With ``jobs`` > 1 the factbases go to that many worker processes in
+    batches, the first of ``64 * jobs`` factbases and each next one twice as
+    large; a batch is dealt round-robin to the workers, each chunk with its
+    own budget, and no batch follows one that holds a witness.  The first
+    witness by factbase index wins, so neither the verdict nor the counters
+    depend on scheduling.
     """
     if jobs < 1:
         raise ChaseError("jobs must be >= 1")
@@ -250,26 +275,21 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     factbases = enumerate_representative_factbases(q.ruleset, q.max_atoms, budget)
     if jobs == 1:
         return _verdict(q, *_first_witness(q, factbases, budget))
-    factbases = list(factbases)
-    jobs = min(jobs, len(factbases))
+    from concurrent.futures import ProcessPoolExecutor
+
+    size = 64 * jobs
+    batch = list(itertools.islice(factbases, size))
+    jobs = min(jobs, len(batch))
+    counts: list[int] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_scan_chunk,
-                                [(q, factbases[j::jobs]) for j in range(jobs)]))
-    # Chunk j holds factbases j, j + jobs, ...  Each chunk stops at or after
-    # the lowest witness index, so every factbase up to it was searched:
-    # report what a single job reports.
-    counts = [0] * len(factbases)
-    hits = []
-    for j, (witness, chunk_counts) in enumerate(results):
-        searched = range(j, len(factbases), jobs)[:len(chunk_counts)]
-        for i, n in zip(searched, chunk_counts):
-            counts[i] = n
-        if witness is not None:
-            hits.append((searched[-1], witness))
-    if not hits:
-        return _verdict(q, None, counts)
-    idx, witness = min(hits, key=lambda h: h[0])
-    return _verdict(q, witness, counts[:idx + 1])
+        while batch:
+            witness, batch_counts = _scan_batch(pool, q, batch, jobs)
+            counts += batch_counts
+            if witness is not None:
+                return _verdict(q, witness, counts)
+            size *= 2
+            batch = list(itertools.islice(factbases, size))
+    return _verdict(q, None, counts)
 
 
 def shrink_witness(factbase: frozenset, derivation: Derivation,

@@ -115,7 +115,11 @@ def frontier_image(rule: Rule, pi: Substitution) -> tuple:
 
 def safe_extension(trigger: Trigger, rule: Rule, naming: NamingMode) -> Substitution:
     """Extend the trigger's substitution, mapping each existential variable to
-    a deterministic fresh null keyed by the trigger (or its frontier image)."""
+    a deterministic fresh null keyed by the trigger (or its frontier image).
+    A datalog rule has no existential variable: its substitution is returned
+    as it is."""
+    if rule.is_datalog:
+        return trigger.pi
     if naming is NamingMode.TRIGGER:
         key: Union[TriggerKey, FrontierKey] = TriggerKey(
             tuple(sorted(((v.name, t) for v, t in trigger.pi.items()))))
@@ -368,8 +372,10 @@ def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int,
     over a rank opened on ``d`` would skip them anyway.  Callers still check
     each one when they pick it.  The so and datalog-r conditions are checked
     on the image tuples, before any trigger is built; an applied trigger fails
-    both.  The equivalent chase keeps every unapplied trigger: its triggers
-    can wake up again.
+    both.  Both depend on the frontier image alone (a datalog rule's head
+    variables are all frontier variables), so the datalog-r head check runs
+    once per distinct frontier image.  The equivalent chase keeps every
+    unapplied trigger: its triggers can wake up again.
     """
     filtered = not everything and variant is not ChaseVariant.EQUIVALENT
     out: list[Trigger] = []
@@ -382,8 +388,10 @@ def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int,
             out += _triggers(rule, [im for im in images if (
                 rule.rule_id, join.frontier_image(im)) not in d._frontier_seen])
         elif rule.is_datalog:
-            out += _triggers(rule, [im for im in images
-                                    if not join.head_within(im, d.factbase)])
+            keys = list(map(join.frontier_key, images))
+            closed = {f for f, im in dict(zip(keys, images)).items()
+                      if join.head_within(im, d.factbase)}
+            out += _triggers(rule, [im for f, im in zip(keys, images) if f not in closed])
         else:
             out += [t for t in _triggers(rule, images) if _applicable(variant, d, t)]
     return out

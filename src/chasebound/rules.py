@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ChaseError, EmptyBodyError, EmptyHeadError
@@ -61,11 +62,11 @@ class BodyJoin:
     bound by the same atom it must equal.  Head templates (slot numbers, head
     constants after the variables) and frontier slots let the engine check the
     so and datalog-r conditions on an image tuple (``frontier_image``,
-    ``head_within``).
+    ``frontier_key``, ``head_within``).
     """
 
     __slots__ = ("body", "keys", "variables", "_slots", "_head", "_head_terms",
-                 "_frontier", "_plans")
+                 "_frontier", "frontier_key", "_plans")
 
     def __init__(self, rule: Rule):
         self.body = tuple(sorted_atoms(rule.body))
@@ -79,6 +80,9 @@ class BodyJoin:
         slot = {t: i for i, t in enumerate(self.variables + self._head_terms)}
         self._head = tuple((a.predicate, tuple(slot[t] for t in a.args)) for a in head)
         self._frontier = tuple(slot[v] for v in rule.frontier_order)
+        # Equal for two image tuples iff their frontier images are; an
+        # itemgetter (a bare term for one slot) where there is a frontier.
+        self.frontier_key = itemgetter(*self._frontier) if self._frontier else _no_frontier
         self._plans: dict = {}
 
     def _plan(self, order: tuple) -> tuple:
@@ -131,6 +135,10 @@ class BodyJoin:
             if Atom(p, tuple(map(terms, args))) not in atoms:
                 return False
         return True
+
+
+def _no_frontier(images: tuple) -> tuple:
+    return ()
 
 
 def _join(plan: tuple, depth: int, lists: Sequence[Sequence[Atom]], slots: list,

@@ -1,15 +1,18 @@
 """Terms, atoms and substitutions: the ground vocabulary everything reduces to.
 
-All types here are immutable values; equality is structural.  Nulls carry a
-structured provenance so that the same trigger (or frontier image) always
-re-creates the identical null, which is what makes replay bit-exact.
+All types here are immutable values.  Constants, variables, nulls and atoms
+are interned (hash-consed): building one from the same parts returns the same
+object, so equality is identity and hashing is the built-in identity hash,
+both done in C.  Unpickling re-interns, so worker processes and pickles share
+the objects too.  Nulls carry a structured provenance so that the same trigger
+(or frontier image) always re-creates the identical null, which is what makes
+replay bit-exact.
 
-Nulls are interned and atoms cache their hash: provenances nest (a null's key
-can contain earlier nulls), so recomputing hashes or serialized forms on every
-set operation would blow up on deep derivations.  Terms order by plain tuple
-keys (``term_sort_key``), never by serialized strings; a null's key nests the
-keys of the terms in its provenance, so it is built once, at interning, and
-cached.
+Provenances nest (a null's key can contain earlier nulls), so recomputing
+hashes or serialized forms on every set operation would blow up on deep
+derivations.  Terms order by plain tuple keys (``term_sort_key``), never by
+serialized strings; a null's key nests the keys of the terms in its
+provenance, so it is built once, at interning, and cached.
 """
 
 from __future__ import annotations
@@ -18,23 +21,54 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
-@dataclass(frozen=True)
 class Constant:
-    name: str
+    """Interned constant, one object per name."""
+
+    __slots__ = ("name",)
+    _interned: dict = {}
+
+    def __new__(cls, name: str) -> "Constant":
+        self = cls._interned.get(name)
+        if self is None:
+            self = cls._interned[name] = super().__new__(cls)
+            self.name = name
+        return self
+
+    def __reduce__(self):
+        return (Constant, (self.name,))
 
     def __str__(self) -> str:
         return self.name
 
+    def __repr__(self) -> str:
+        return f"Constant({self.name!r})"
 
-@dataclass(frozen=True)
+
 class Variable:
-    name: str
-    # Rule id; keeps variable namespaces of distinct rules disjoint even when
-    # the source text reuses names.  Not part of the printed form.
-    scope: Optional[str] = None
+    """Interned variable, one object per (name, scope)."""
+
+    # ``scope`` is the rule id; it keeps variable namespaces of distinct
+    # rules disjoint even when the source text reuses names.  Not part of the
+    # printed form.
+    __slots__ = ("name", "scope")
+    _interned: dict = {}
+
+    def __new__(cls, name: str, scope: Optional[str] = None) -> "Variable":
+        self = cls._interned.get((name, scope))
+        if self is None:
+            self = cls._interned[name, scope] = super().__new__(cls)
+            self.name = name
+            self.scope = scope
+        return self
+
+    def __reduce__(self):
+        return (Variable, (self.name, self.scope))
 
     def __str__(self) -> str:
         return self.name
+
+    def __repr__(self) -> str:
+        return f"Variable({self.name!r}, {self.scope!r})"
 
 
 @dataclass(frozen=True)
@@ -93,9 +127,9 @@ class _NullKey(tuple):
 
 
 class Null:
-    """Interned labelled unknown; two nulls are equal iff their provenances are."""
+    """Interned labelled unknown, one object per provenance."""
 
-    __slots__ = ("provenance", "_hash", "_str", "depth", "_key")
+    __slots__ = ("provenance", "_str", "depth", "_key")
     _interned: dict = {}
 
     def __new__(cls, provenance: NullProvenance) -> "Null":
@@ -104,7 +138,6 @@ class Null:
             return cached
         self = super().__new__(cls)
         self.provenance = provenance
-        self._hash = hash(("null", provenance))
         self._str = None
         if isinstance(provenance, InitialNull):
             self.depth = 0
@@ -124,14 +157,6 @@ class Null:
 
     def __reduce__(self):
         return (Null, (self.provenance,))
-
-    def __eq__(self, other: object) -> bool:
-        # Every null is interned (unpickling goes through ``__new__`` via
-        # ``__reduce__``), so equal provenances mean the same object.
-        return self is other
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         if self._str is None:
@@ -164,27 +189,25 @@ def term_sort_key(term: Term) -> tuple:
 
 
 class Atom:
-    """Predicate applied to terms; hash computed once at construction."""
+    """Predicate applied to terms, interned on (predicate, args): equal atoms
+    are the same object, so equality is identity."""
 
-    __slots__ = ("predicate", "args", "_hash", "_key")
+    __slots__ = ("predicate", "args", "_key")
+    _interned: dict = {}
 
-    def __init__(self, predicate: str, args: Iterable[Term]):
-        self.predicate = predicate
-        self.args = tuple(args)
-        self._hash = hash((predicate, self.args))
-        self._key = None
+    def __new__(cls, predicate: str, args: Iterable[Term]) -> "Atom":
+        if type(args) is not tuple:
+            args = tuple(args)
+        self = cls._interned.get((predicate, args))
+        if self is None:
+            self = cls._interned[predicate, args] = super().__new__(cls)
+            self.predicate = predicate
+            self.args = args
+            self._key = None
+        return self
 
     def __reduce__(self):
         return (Atom, (self.predicate, self.args))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, Atom) and self._hash == other._hash
-                and self.predicate == other.predicate and self.args == other.args)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"{self.predicate}({','.join(str(a) for a in self.args)})"

@@ -125,6 +125,15 @@ def brute_force_homomorphisms(source, target, frozen=frozenset()):
     return found
 
 
+def check_sound_homomorphism(sub, source, target, frozen=frozenset()) -> None:
+    """Soundness of one substitution the homomorphism kernel returned: the
+    image of ``source`` lies in ``target``, and no constant or frozen term is
+    in its domain."""
+    assert sub.apply(source) <= target, "homomorphism image escapes the target"
+    assert not any(isinstance(k, Constant) or k in frozen for k, _ in sub.items()), \
+        "homomorphism moved a frozen term"
+
+
 # -- random knowledge bases -----------------------------------------------------
 
 _CONSTS = [Constant(n) for n in ("a", "b", "c")]

@@ -195,7 +195,7 @@ def test_kbounded_jobs_below_one_is_usage_error(jobs):
     assert "error: jobs must be >= 1" in err and not out
 
 
-@pytest.mark.parametrize("name", ["ex3_single", "ex10", "ex8"])
+@pytest.mark.parametrize("name", ["ex3_single", "ex10", "ex8", "ex11"])
 def test_kbounded_jobs_prints_the_sequential_report(name):
     for variant in ("o", "so", "r"):
         argv = ["kbounded", "--rules", str(FIXTURES / f"{name}.dlp"),
@@ -216,6 +216,18 @@ def test_unexpected_exception_exits_4_without_traceback(tmp_path):
     assert proc.returncode == 4
     assert "internal error: RecursionError" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    # Every command imports chasebound.cli; only ``kbounded --jobs N`` needs
+    # concurrent.futures, so only it pays for the import.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chasebound.cli; print('concurrent.futures' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_usage_error_unknown_subcommand():

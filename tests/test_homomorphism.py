@@ -10,7 +10,6 @@ from chasebound import (
     Constant,
     InitialNull,
     Null,
-    Substitution,
     Variable,
     all_homomorphisms,
     atom,
@@ -23,26 +22,11 @@ from chasebound import (
 from chasebound.errors import CanonicalBudgetError
 from chasebound.homomorphism import IndexedAtoms
 
+from oracles import brute_force_homomorphisms, check_sound_homomorphism
+
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 x, y, z = Variable("x"), Variable("y"), Variable("z")
 w, n0, n1 = Null(InitialNull("w")), Null(InitialNull("n0")), Null(InitialNull("n1"))
-
-
-def brute_force_homomorphisms(source, target, frozen=frozenset()):
-    """Independent oracle: enumerate every assignment of source variables and
-    nulls to target terms and keep those that map source into target."""
-    source = frozenset(source)
-    target = frozenset(target)
-    movable = sorted({t for at in source for t in at.args
-                      if not isinstance(t, Constant) and t not in frozen},
-                     key=str)
-    targets = sorted({t for at in target for t in at.args}, key=str)
-    found = []
-    for combo in itertools.product(targets, repeat=len(movable)):
-        sub = Substitution(dict(zip(movable, combo)))
-        if sub.apply(source) <= target:
-            found.append(sub)
-    return found
 
 
 def test_find_homomorphism_body_onto_loop():
@@ -238,13 +222,33 @@ def test_canonical_form_budget():
 
 
 def test_homomorphism_soundness_assertions_hold():
-    # Soundness is asserted inside the kernel on every return; this exercises
-    # a case with frozen nulls where the assertion is nontrivial.
-    source = frozenset({atom("p", w, n0)})
-    target = frozenset({atom("p", w, a), atom("p", b, a)})
-    sub = find_homomorphism(source, target, frozen=frozenset({w}))
-    assert sub is not None
-    assert sub.apply(source) <= target
+    # Every substitution find_homomorphism and all_homomorphisms return maps
+    # the source into the target and moves no constant or frozen term, on
+    # plain and indexed targets; the first case is one where frozen nulls
+    # make the check nontrivial.
+    rng = random.Random(4823)
+    preds = [("p", 2), ("q", 1)]
+
+    def rand_atoms(terms, n):
+        return frozenset(Atom(name, tuple(rng.choice(terms) for _ in range(arity)))
+                         for name, arity in (rng.choice(preds) for _ in range(n)))
+
+    cases = [(frozenset({atom("p", w, n0)}),
+              frozenset({atom("p", w, a), atom("p", b, a)}), frozenset({w}))]
+    for _ in range(300):
+        source = rand_atoms([a, b, x, y, w, n0], rng.randint(1, 3))
+        target = rand_atoms([a, b, c, w, n0, n1], rng.randint(1, 8))
+        cases.append((source, target, frozenset(rng.sample([x, y, w, n0], rng.randint(0, 2)))))
+    returned = 0
+    for source, target, frozen in cases:
+        for tgt in (target, IndexedAtoms(target)):
+            subs = all_homomorphisms(source, tgt, frozen)
+            first = find_homomorphism(source, tgt, frozen)
+            assert (first is None) == (not subs)
+            for sub in subs + ([first] if first is not None else []):
+                check_sound_homomorphism(sub, source, tgt, frozen)
+                returned += 1
+    assert returned > 300
 
 
 @st.composite

@@ -28,9 +28,10 @@ from chasebound import (
     serialize_trace,
     verify_derivation,
 )
-from chasebound.engine import _applicable, _rank_candidates
+from chasebound.engine import _applicable, _rank_candidates, frontier_image
 from chasebound.terms import sorted_atoms
 
+from conftest import load_example
 from oracles import (
     oracle_rank_candidates,
     oracle_run_breadth_first,
@@ -164,8 +165,21 @@ def test_trusted_applicability_matches_is_applicable():
     assert checked > 1000
 
 
+# ``join``'s head p(X,Z) leaves out the body variables Y and U, so on this
+# diamond its rank-1 images share frontier images, (a,d) among the open ones
+# and (a,b) among the closed: the datalog-r check runs once per frontier image
+# and must keep exactly what the per-trigger check keeps.
+EX3_PAIR_KB = KnowledgeBase(
+    frozenset(map(parse_atom, ["p(a,b)", "p(a,c)", "p(b,d)", "p(c,d)"])),
+    load_example("ex3_pair").ruleset)
+
+
 def test_rank_candidates_match_oracle_at_rank_boundaries():
-    for i, variant, res in breadth_first_runs(33, variants=tuple(V)):
+    shared = 0
+    ex3_pair_runs = (("ex3_pair", variant, run_breadth_first(variant, EX3_PAIR_KB))
+                     for variant in V)
+    for i, variant, res in itertools.chain(breadth_first_runs(33, variants=tuple(V)),
+                                           ex3_pair_runs):
         steps = res.derivation.steps
         # The runner asks for the next rank after the last step of a rank;
         # the final state counts only when the run exhausted it.
@@ -185,6 +199,12 @@ def test_rank_candidates_match_oracle_at_rank_boundaries():
                     group = [t for t in group if is_applicable(variant, d, t)]
                 assert _rank_candidates(variant, d) == (kappa, group), \
                     (i, variant, n)
+                if i == "ex3_pair" and variant is V.RESTRICTED and kappa is not None:
+                    join = d.ruleset["join"]
+                    images = [frontier_image(join, t.pi) for t in rank_triggers(d, kappa)
+                              if t.rule_id == "join" and t not in d.applied]
+                    shared += len(set(images)) < len(images)
+    assert shared
 
 
 # An equivalent-chase trigger that wakes up within its rank: (R1,{X:v1,Y:w})

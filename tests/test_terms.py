@@ -1,9 +1,11 @@
+import pickle
 import random
 from functools import cmp_to_key
 
 import pytest
 
 from chasebound import (
+    Atom,
     ChaseVariant,
     Constant,
     FrontierKey,
@@ -82,6 +84,21 @@ def test_substitution_equality_and_hash():
 def test_variable_scopes_are_distinct():
     assert Variable("X", "R1") != Variable("X", "R2")
     assert Variable("X", "R1") == Variable("X", "R1")
+
+
+def test_terms_and_atoms_are_interned():
+    assert Constant("a") is Constant("a")
+    assert Variable("X", "R1") is Variable("X", "R1")
+    assert Variable("X", "R1") is not Variable("X", "R2")
+    assert Variable("X") is not Variable("X", "R1")
+    assert Atom("p", [a]) is Atom("p", (a,)) is atom("p", a)
+    assert Atom("p", (a, b)) is not Atom("p", (b, a))
+
+
+def test_unpickling_returns_the_interned_object():
+    null = Null(GeneratedNull("R1", TriggerKey((("x", a),)), "z"))
+    for value in (a, Variable("X", "R1"), Atom("p", (a, null)), null):
+        assert pickle.loads(pickle.dumps(value)) is value
 
 
 def test_substitution_restrict_and_extend():
