@@ -29,13 +29,8 @@ from .errors import (
     ReplayFailureError,
     VersionMismatchError,
 )
-from .parser import parse_kb
-from .trace import (
-    deserialize_trace,
-    load_keep_atoms,
-    serialize_trace,
-    serialize_witness,
-)
+from .parser import parse_atoms, parse_kb
+from .trace import deserialize_trace, serialize_trace, serialize_witness
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -109,7 +104,7 @@ def _cmd_kbounded(args, out, err) -> int:
         print(f"offending_atom: {w.offending_atom}", file=out)
         if args.witness:
             _write(args.witness,
-                   serialize_witness(variant, args.k, args.bound_mode, w))
+                   serialize_witness(args.k, args.bound_mode, w))
     return EXIT_OK if verdict.bounded else EXIT_NEGATIVE
 
 
@@ -132,7 +127,7 @@ def _cmd_restrict(args, out, err) -> int:
     derivation = _load_trace(args.trace, out)
     if derivation is None:
         return EXIT_NEGATIVE
-    keep = load_keep_atoms(args.keep)
+    keep = frozenset(parse_atoms(args.keep))
     unknown = keep - derivation.initial
     if unknown:
         names = ", ".join(str(a) for a in sorted(unknown, key=str))

@@ -14,23 +14,26 @@ A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
 rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
 atom of rank κ-1: the semi-naive delta, read from the rank-(κ-1) buckets.
 Rank is structural, so one rank join serves every variant and every path.  It
-runs each rule's compiled body (``Rule.join``), which binds slots and yields
-image tuples; ``rank_triggers`` turns them all into triggers, and
-``enumerate_triggers`` (all triggers on a whole factbase) stays as the
-reference it is checked against.  A rank's candidate stays a trigger of every
-later derivation (factbases only grow), so the engine's own loops check its
-applicability without re-checking that its body embeds; ``is_applicable``
-keeps that check for triggers from outside.
+runs each rule's compiled body (``Rule.join``, a ``homomorphism.Join``: the
+matcher every homomorphism search runs on), which yields image tuples;
+``rank_triggers`` turns them all into triggers, and ``enumerate_triggers``
+(all triggers on a whole factbase) stays as the reference it is checked
+against.  A rank's candidate stays a trigger of every later derivation
+(factbases only grow), so the engine's own loops check its applicability
+without re-checking that its body embeds; ``is_applicable`` keeps that check
+for triggers from outside.
 
 For the oblivious, semi-oblivious and restricted chases non-applicability is
 monotone: a trigger that is not applicable stays so as the derivation grows.
 So once a rank is exhausted no lower rank needs another look, one forward pass
 over a rank's candidates applies all it can, and a candidate that is not
-applicable when its rank opens can be dropped before it becomes a trigger
-(the so and datalog-r conditions are checked on the image tuple itself).  The
-equivalent chase is not monotone (a trigger can wake up again), so it keeps
-every unapplied candidate, looks at every rank and rescans a rank's
-candidates from the start after each step.
+applicable when its rank opens can be dropped before it becomes a trigger.
+The so and r conditions depend on a trigger's frontier image alone, so one
+check (``_frontier_open``) decides them once per distinct frontier image, on
+the head with that image filled in; no null is minted for a trigger that is
+never applied.  The equivalent chase is not monotone (a trigger can wake up
+again), so it keeps every unapplied candidate, looks at every rank and
+rescans a rank's candidates from the start after each step.
 
 Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -296,9 +299,6 @@ class Derivation:
                           self.steps + (step,), factbase, step_of, by_rank, depth,
                           self.applied | {trigger}, frontier_seen)
 
-    def has_frontier_equal(self, rule: Rule, pi: Substitution) -> bool:
-        return (rule.rule_id, frontier_image(rule, pi)) in self._frontier_seen
-
 
 # -- trigger enumeration and applicability ---------------------------------
 
@@ -370,30 +370,21 @@ def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int,
     For o/so/r (unless ``everything``) only those applicable on ``d``: by
     monotonicity the others never become applicable as ``d`` grows, so a pass
     over a rank opened on ``d`` would skip them anyway.  Callers still check
-    each one when they pick it.  The so and datalog-r conditions are checked
-    on the image tuples, before any trigger is built; an applied trigger fails
-    both.  Both depend on the frontier image alone (a datalog rule's head
-    variables are all frontier variables), so the datalog-r head check runs
-    once per distinct frontier image.  The equivalent chase keeps every
-    unapplied trigger: its triggers can wake up again.
+    each one when they pick it.  The so and r conditions depend on the
+    frontier image alone, so ``_frontier_open`` runs once per distinct
+    frontier image, before any trigger is built.  The equivalent chase keeps
+    every unapplied trigger: its triggers can wake up again.
     """
     filtered = not everything and variant is not ChaseVariant.EQUIVALENT
     out: list[Trigger] = []
     for rule, images in _rank_images(d, kappa):
-        join = rule.join
         if not filtered or variant is ChaseVariant.OBLIVIOUS:
             # Being applied is all that makes an o trigger inapplicable.
             out += [t for t in _triggers(rule, images) if t not in d.applied]
-        elif variant is ChaseVariant.SEMI_OBLIVIOUS:
-            out += _triggers(rule, [im for im in images if (
-                rule.rule_id, join.frontier_image(im)) not in d._frontier_seen])
-        elif rule.is_datalog:
-            keys = list(map(join.frontier_key, images))
-            closed = {f for f, im in dict(zip(keys, images)).items()
-                      if join.head_within(im, d.factbase)}
-            out += _triggers(rule, [im for f, im in zip(keys, images) if f not in closed])
-        else:
-            out += [t for t in _triggers(rule, images) if _applicable(variant, d, t)]
+            continue
+        frontiers = list(map(rule.join.frontier_image, images))
+        opened = {f for f in set(frontiers) if _frontier_open(variant, d, rule, f)}
+        out += _triggers(rule, [im for f, im in zip(frontiers, images) if f in opened])
     return out
 
 
@@ -431,29 +422,46 @@ def _applicable(variant: ChaseVariant, derivation: Derivation,
     if variant is ChaseVariant.OBLIVIOUS:
         return True
 
-    if variant is ChaseVariant.SEMI_OBLIVIOUS:
-        return not derivation.has_frontier_equal(rule, trigger.pi)
-
-    if variant is ChaseVariant.RESTRICTED and rule.is_datalog:
-        # No existential variables: the extension is the substitution itself.
-        return not trigger.pi.apply(rule.head) <= derivation.factbase
-
-    extension = safe_extension(trigger, rule, derivation.naming_mode)
-    head = extension.apply(rule.head)
-
-    if variant is ChaseVariant.RESTRICTED:
-        # Only the fresh nulls of the head image may move; everything else
-        # (frontier images, head constants) stays put.
-        fresh = frozenset(extension.apply_term(z) for z in rule.existentials)
-        frozen = frozenset(t for a in head for t in a.args) - fresh
-        return find_homomorphism(head, derivation.factbase, frozen) is None
+    if variant is not ChaseVariant.EQUIVALENT:
+        return _frontier_open(variant, derivation, rule, frontier_image(rule, trigger.pi))
 
     # Equivalent chase: the extension must not fold back onto the factbase.
     # All nulls (including the factbase's own) may move; constants may not.
+    head = safe_extension(trigger, rule, derivation.naming_mode).apply(rule.head)
     if head <= derivation.factbase:
         return False
     extended = derivation.factbase | head
     return find_homomorphism(extended, derivation.factbase) is None
+
+
+def _frontier_open(variant: ChaseVariant, d: Derivation, rule: Rule,
+                   frontier: tuple) -> bool:
+    """Whether the triggers of ``rule`` with frontier image ``frontier`` are
+    so- or r-applicable on ``d``; an applied trigger is not.
+
+    A trigger is r-applicable unless its head has a homomorphism into the
+    factbase that fixes the frontier image and moves only the fresh nulls.
+    The check is made on the head with the frontier image filled in and the
+    existential variables left as variables, which move as the fresh nulls
+    would; no null is minted.  An applied frontier-equal trigger has put such
+    a head image in the factbase, so it closes the r check at once; it is
+    also the whole so condition.
+    """
+    if (rule.rule_id, frontier) in d._frontier_seen:
+        return False
+    if variant is ChaseVariant.SEMI_OBLIVIOUS:
+        return True
+    join = rule.join
+    terms = (frontier + join.head_terms).__getitem__
+    if rule.is_datalog:
+        # The head is all fixed: a membership test per atom, stopping at the
+        # first missing one, with no set built.
+        for p, args in join.head:
+            if Atom(p, tuple(map(terms, args))) not in d.factbase:
+                return True
+        return False
+    head = frozenset(Atom(p, tuple(map(terms, args))) for p, args in join.head)
+    return find_homomorphism(head, d.factbase, frozenset(frontier)) is None
 
 
 # -- restriction, verification, completion ----------------------------------
@@ -700,11 +708,14 @@ def enumerate_breadth_first_derivations(
     budget = budget or Budget()
     seen: set = set()
 
-    def explore(d: Derivation, kappa: Optional[int], candidates: list[Trigger],
-                start: int) -> Iterator[Derivation]:
-        # Each choice is (trigger, where the child's scan starts): a branch
-        # may pick any applicable candidate and rescans from the first, a
-        # single canonical order goes on after its pick.
+    def expand(d: Derivation, kappa: Optional[int], candidates: list[Trigger],
+               start: int) -> Iterator:
+        # One search node.  Yields, in visiting order, each derivation to hand
+        # out and the (d, kappa, candidates, start) of each child node, which
+        # is searched before the next item.  A child comes from a choice
+        # (trigger, where the child's scan starts): a branch may pick any
+        # applicable candidate and rescans from the first, a single canonical
+        # order goes on after its pick.
         budget.spend_step()
         if branch_orders:
             choices = [(t, 0) for t in candidates if _applicable(variant, d, t)]
@@ -714,10 +725,7 @@ def enumerate_breadth_first_derivations(
         if not choices:
             # Rank exhausted: move to the next rank with applicable triggers.
             kappa2, candidates2 = _rank_candidates(variant, d)
-            if kappa2 is None:
-                yield d
-                return
-            yield from explore(d, kappa2, candidates2, 0)
+            yield d if kappa2 is None else (d, kappa2, candidates2, 0)
             return
         for t, next_start in choices:
             d2 = d.extend(t, check=False)
@@ -729,9 +737,19 @@ def enumerate_breadth_first_derivations(
             if kappa is not None and kappa >= depth_target and d2.steps[-1].produced:
                 yield d2
             else:
-                yield from explore(d2, kappa, candidates, next_start)
+                yield d2, kappa, candidates, next_start
 
-    yield from explore(Derivation.start(variant, kb), None, [], 0)
+    # Depth-first with a stack of lazy nodes, not recursion: a branch is as
+    # deep as its step count.
+    stack = [expand(Derivation.start(variant, kb), None, [], 0)]
+    while stack:
+        item = next(stack[-1], None)
+        if item is None:
+            stack.pop()
+        elif isinstance(item, Derivation):
+            yield item
+        else:
+            stack.append(expand(*item))
 
 
 def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,

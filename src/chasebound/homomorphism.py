@@ -1,22 +1,23 @@
 """Homomorphism search, isomorphism, cores and canonical forms for atom sets.
 
-The searcher is a plain backtracking matcher over per-source-atom candidate
-lists.  Source atoms are ordered by selectivity (fewest candidate target atoms
-first, ties broken by atom_sort_key) so results are deterministic and pruning
-happens early.  Constants are always frozen; nulls and variables are
-remappable unless explicitly frozen.
+There is one backtracking matcher, ``Join``: a source atom set compiled once
+into slots (one per movable term; constants and ``frozen`` terms are fixed)
+and, per join order, a plan of slot tests and binds, run over one candidate
+list per source atom, shortest list first (ties in atom_sort_key order), so
+results are deterministic and pruning happens early.  ``find_homomorphism``
+and ``all_homomorphisms`` compile their source into one; the engine's rank
+join (``rules.BodyJoin``) and the restricted chase's check run on it too.
+Constants are always fixed; nulls and variables are movable unless frozen.
 
 Candidates come from a per-predicate index of the target, each list sorted by
 atom_sort_key.  An ``IndexedAtoms`` target carries that index with it and is
 searched as is; a chase derivation's factbase is one, grown step by step by
 sorted insertion of the new atoms only.  It also carries an argument-position
 index, (predicate, arity, position, term) -> the predicate's atoms with that
-term at that position, in the same order; a source atom with a frozen argument
-(a constant or a ``frozen`` term) takes the shortest of these lists, so the
-restricted chase's check, whose frontier image is frozen, looks only at atoms
-that share it.  Any other target is indexed afresh by predicate on every call.
-The engine joins rule bodies against atoms of chosen ranks with its own
-compiled join (``rules.BodyJoin``), not with this searcher.
+term at that position, in the same order; a source atom with a fixed argument
+takes the shortest of these lists, so the restricted chase's check, whose
+frontier image is frozen, looks only at atoms that share it.  Any other
+target is indexed afresh by predicate on every call.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .terms import (
     Variable,
     atom_sort_key,
     sorted_atoms,
+    term_sort_key,
 )
 
 def predicate_key(a: Atom) -> tuple[str, int]:
@@ -106,68 +108,123 @@ def _is_frozen(term: Term, frozen: frozenset) -> bool:
     return isinstance(term, Constant) or term in frozen
 
 
-def _match_atom(src: Atom, tgt: Atom, binding: dict, frozen: frozenset) -> Optional[list[Term]]:
-    """Try to extend ``binding`` so that binding(src) == tgt; returns newly
-    bound source terms (for undo) or None when the atoms do not match."""
-    new: list[Term] = []
-    for s, t in zip(src.args, tgt.args):
-        if _is_frozen(s, frozen):
-            if s != t:
-                break
-        elif s in binding:
-            if binding[s] != t:
+class Join:
+    """A source atom set compiled for backtracking joins that bind slots, not
+    dicts.
+
+    The atoms are in atom_sort_key order, with their predicate keys.  Slot i
+    holds the image of ``movable[i]``: the terms that are neither constants
+    nor ``frozen``, in term_sort_key order, the order of
+    ``Substitution._key``, so a join's image tuples compare as their
+    substitutions do (``image_key``).  The fixed terms sit in the slots after
+    them, each holding itself.  For each join order a plan says, per atom and
+    argument, which slot it must equal (a fixed term or a term bound earlier),
+    which slot it binds, and which slot bound by the same atom it must equal.
+    """
+
+    __slots__ = ("atoms", "keys", "movable", "_slots", "_plans")
+
+    def __init__(self, atoms: Iterable[Atom], frozen: frozenset = frozenset()):
+        self.atoms = tuple(sorted_atoms(atoms))
+        self.keys = tuple(map(predicate_key, self.atoms))
+        terms = dict.fromkeys(t for a in self.atoms for t in a.args)
+        fixed = [t for t in terms if _is_frozen(t, frozen)]
+        self.movable = tuple(sorted(terms.keys() - fixed, key=term_sort_key))
+        self._slots = list(self.movable) + fixed
+        self._plans: dict = {}
+
+    def _plan(self, order: tuple) -> tuple:
+        slot = {t: i for i, t in enumerate(self._slots)}
+        bound = set(range(len(self.movable), len(self._slots)))
+        plan = []
+        for pos in order:
+            tests, binds, repeats = [], [], []
+            here: set = set()
+            for i, t in enumerate(self.atoms[pos].args):
+                s = slot[t]
+                if s in bound:
+                    tests.append((i, s))
+                elif s in here:
+                    repeats.append((i, s))
+                else:
+                    binds.append((i, s))
+                    here.add(s)
+            bound |= here
+            plan.append((pos, tuple(tests), tuple(binds), tuple(repeats)))
+        return tuple(plan)
+
+    def matches(self, lists: Sequence[Sequence[Atom]], out: list,
+                first_only: bool = False) -> None:
+        """Append to ``out`` the image tuple of every match of ``atoms[i]``
+        onto an atom of ``lists[i]`` for all i (only the first one with
+        ``first_only``), shortest list joined first.  No atoms match once,
+        with the empty tuple."""
+        if not all(lists):
+            return
+        order = tuple(sorted(range(len(lists)), key=lambda i: len(lists[i])))
+        plan = self._plans.get(order)
+        if plan is None:
+            plan = self._plans[order] = self._plan(order)
+        if plan:
+            _join(plan, 0, lists, list(self._slots), len(self.movable), out, first_only)
+        else:
+            out.append(())
+
+    def image_key(self, images: tuple) -> tuple:
+        return tuple(map(term_sort_key, images))
+
+    def substitution(self, images: tuple) -> Substitution:
+        return Substitution(zip(self.movable, images))
+
+
+def _join(plan: tuple, depth: int, lists: Sequence[Sequence[Atom]], slots: list,
+          n: int, out: list, first_only: bool) -> bool:
+    # A slot is bound by one plan step only, so a failed match needs no undo:
+    # the next candidate atom overwrites what this one bound.  True once
+    # ``first_only`` has its match.
+    pos, tests, binds, repeats = plan[depth]
+    leaf = depth + 1 == len(plan)
+    for a in lists[pos]:
+        args = a.args
+        for i, s in tests:
+            if args[i] != slots[s]:
                 break
         else:
-            binding[s] = t
-            new.append(s)
-    else:
-        return new
-    for s in new:
-        del binding[s]
-    return None
-
-
-def _search(source: list[Atom], candidates: list[Sequence[Atom]], binding: dict,
-            frozen: frozenset, pos: int, results: list[dict], first_only: bool) -> bool:
-    if pos == len(source):
-        results.append(dict(binding))
-        return first_only
-    src = source[pos]
-    for tgt in candidates[pos]:
-        new = _match_atom(src, tgt, binding, frozen)
-        if new is None:
-            continue
-        if _search(source, candidates, binding, frozen, pos + 1, results, first_only):
-            return True
-        for s in new:
-            del binding[s]
+            for i, s in binds:
+                slots[s] = args[i]
+            for i, s in repeats:
+                if args[i] != slots[s]:
+                    break
+            else:
+                if leaf:
+                    out.append(tuple(slots[:n]))
+                    if first_only:
+                        return True
+                elif _join(plan, depth + 1, lists, slots, n, out, first_only):
+                    return True
     return False
 
 
-def _run_search(pairs: Iterable[tuple[Atom, Sequence[Atom]]], frozen: frozenset,
-                first_only: bool) -> list[dict]:
-    """Match each source atom onto one of its candidates, most selective
-    source atom first."""
-    ordered = sorted(pairs, key=lambda p: (len(p[1]), atom_sort_key(p[0])))
-    results: list[dict] = []
-    _search([src for src, _ in ordered], [cands for _, cands in ordered], {},
-            frozen, 0, results, first_only)
-    return results
-
-
-def _target_pairs(source: Iterable[Atom], target: frozenset,
-                  frozen: frozenset) -> list:
-    """Each source atom with its candidate target atoms: its predicate's
-    bucket, or on an ``IndexedAtoms`` target the shortest of that bucket and
-    the position lists of its frozen arguments."""
+def _target_lists(join: Join, target: frozenset, frozen: frozenset) -> list:
+    """Each source atom's candidate target atoms: its predicate's bucket, or
+    on an ``IndexedAtoms`` target the shortest of that bucket and the
+    position lists of its fixed arguments."""
     if not isinstance(target, IndexedAtoms):
         index = _build_index(target)
-        return [(a, index.get(predicate_key(a), ())) for a in source]
+        return [index.get(key, ()) for key in join.keys]
     index, positions = target.index, target.positions
-    return [(a, min([index.get(predicate_key(a), ())] +
-                    [positions.get(key, ()) for key in _position_keys(a)
-                     if _is_frozen(key[3], frozen)], key=len))
-            for a in source]
+    return [min([index.get(predicate_key(a), ())] +
+                [positions.get(key, ()) for key in _position_keys(a)
+                 if _is_frozen(key[3], frozen)], key=len)
+            for a in join.atoms]
+
+
+def _homomorphisms(source: frozenset, target: frozenset, frozen: frozenset,
+                   first_only: bool) -> tuple[Join, list]:
+    join = Join(source, frozen)
+    images: list = []
+    join.matches(_target_lists(join, target, frozen), images, first_only)
+    return join, images
 
 
 def find_homomorphism(source: frozenset, target: frozenset,
@@ -177,15 +234,15 @@ def find_homomorphism(source: frozenset, target: frozenset,
     The returned substitution is the identity on ``frozen`` and on constants
     (identity entries are simply absent from its domain).
     """
-    results = _run_search(_target_pairs(source, target, frozen), frozen, first_only=True)
-    return Substitution(results[0]) if results else None
+    join, images = _homomorphisms(source, target, frozen, first_only=True)
+    return join.substitution(images[0]) if images else None
 
 
 def all_homomorphisms(source: frozenset, target: frozenset,
                       frozen: frozenset = frozenset()) -> list[Substitution]:
     """Every distinct homomorphism, in a deterministic (sorted) order."""
-    results = _run_search(_target_pairs(source, target, frozen), frozen, first_only=False)
-    return sorted(map(Substitution, results), key=Substitution.sort_key)
+    join, images = _homomorphisms(source, target, frozen, first_only=False)
+    return [join.substitution(im) for im in sorted(images, key=join.image_key)]
 
 
 def homomorphic_equivalent(a: frozenset, b: frozenset) -> bool:

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ChaseError
-from .rules import Diagnostic, KnowledgeBase, Rule, RuleSet, derive_rule_metadata
+from .rules import (
+    Diagnostic,
+    KnowledgeBase,
+    Rule,
+    RuleSet,
+    derive_rule_metadata,
+    validate_kb,
+)
 from .terms import (
     Atom,
     Constant,
@@ -288,7 +295,6 @@ def parse_kb(text: str) -> ParseResult:
         diagnostics.append(Diagnostic("error", str(exc)))
         return ParseResult(None, diagnostics)
     kb = KnowledgeBase(frozenset(facts), rs)
-    from .rules import validate_kb
     diagnostics.extend(validate_kb(kb))
     if any(d.severity == "error" for d in diagnostics):
         return ParseResult(None, diagnostics)
@@ -309,15 +315,17 @@ def parse_atom(text: str) -> Atom:
     return a
 
 
-def serialize_rule(rule: Rule) -> str:
-    body = ", ".join(str(a) for a in sorted_atoms(rule.body))
-    head = ", ".join(str(a) for a in sorted_atoms(rule.head))
-    return f"[{rule.rule_id}] {body} -> {head}."
+def parse_atoms(text: str) -> list[Atom]:
+    """A comma-separated atom list in source syntax, e.g. ``p(a,b), q(c)``."""
+    p = _Parser(text)
+    atoms = p.atom_list()
+    p.expect("EOF")
+    return atoms
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
     """Canonical text form: facts sorted, rules in ruleset order with explicit
     ids.  parse(serialize(parse(t))) is a fixpoint."""
     lines = [f"{a}." for a in sorted_atoms(kb.factbase)]
-    lines.extend(serialize_rule(r) for r in kb.ruleset)
+    lines.extend(str(r) for r in kb.ruleset)
     return "\n".join(lines) + ("\n" if lines else "")

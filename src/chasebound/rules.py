@@ -1,18 +1,23 @@
-"""Existential rules, rulesets and knowledge bases with derived metadata."""
+"""Existential rules, rulesets and knowledge bases with derived metadata.
+
+Each rule's body is compiled once into the homomorphism matcher
+(``Rule.join``, a ``homomorphism.Join``), together with the head templates
+and frontier slots the engine's so and r checks read.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import ChaseError, EmptyBodyError, EmptyHeadError
+from .homomorphism import Join
 from .terms import (
     Atom,
     InitialNull,
     Null,
-    Substitution,
     Variable,
     constants_of,
     nulls_of,
@@ -40,6 +45,7 @@ class Rule:
         return not self.existentials
 
     def __str__(self) -> str:
+        """The rule in source syntax, with its id."""
         b = ", ".join(str(a) for a in sorted_atoms(self.body))
         h = ", ".join(str(a) for a in sorted_atoms(self.head))
         return f"[{self.rule_id}] {b} -> {h}."
@@ -49,120 +55,35 @@ class Rule:
         return BodyJoin(self)
 
 
-class BodyJoin:
-    """A rule body compiled for joins that bind slots, not dicts.
+class BodyJoin(Join):
+    """A rule body compiled as a ``Join``, with the rule's head templates and
+    frontier slots.
 
-    The body atoms are in atom_sort_key order, with their predicate keys.
-    Slot i holds the image of ``variables[i]``; the variables are in
-    term_sort_key order, the order of ``Substitution._key``, so the image
-    tuples of one rule compare as their triggers do (``image_key``).  Body
-    constants sit in the slots after the variables.  For each join order a
-    plan says, per body atom and argument, which slot it must equal (a
-    constant or a variable bound earlier), which slot it binds, and which slot
-    bound by the same atom it must equal.  Head templates (slot numbers, head
-    constants after the variables) and frontier slots let the engine check the
-    so and datalog-r conditions on an image tuple (``frontier_image``,
-    ``frontier_key``, ``head_within``).
+    The body variables are the movable terms, so the image tuples of one
+    rule compare as its triggers do; body constants are fixed.
+    ``frontier_image`` reads an image tuple's frontier image.  Each head
+    template is a predicate with slot numbers into the frontier image
+    followed by ``head_terms`` (the existential variables and head
+    constants), so the engine fills in a trigger's head from its frontier
+    image alone.
     """
 
-    __slots__ = ("body", "keys", "variables", "_slots", "_head", "_head_terms",
-                 "_frontier", "frontier_key", "_plans")
+    __slots__ = ("head", "head_terms", "frontier_image")
 
     def __init__(self, rule: Rule):
-        self.body = tuple(sorted_atoms(rule.body))
-        self.keys = tuple((a.predicate, len(a.args)) for a in self.body)
-        self.variables = tuple(sorted(rule.body_vars, key=term_sort_key))
-        consts = sorted(constants_of(rule.body), key=term_sort_key)
-        self._slots = list(self.variables) + consts
+        super().__init__(rule.body)
         head = sorted_atoms(rule.head)
-        self._head_terms = tuple(sorted({t for a in head for t in a.args} - rule.body_vars,
-                                        key=term_sort_key))
-        slot = {t: i for i, t in enumerate(self.variables + self._head_terms)}
-        self._head = tuple((a.predicate, tuple(slot[t] for t in a.args)) for a in head)
-        self._frontier = tuple(slot[v] for v in rule.frontier_order)
-        # Equal for two image tuples iff their frontier images are; an
-        # itemgetter (a bare term for one slot) where there is a frontier.
-        self.frontier_key = itemgetter(*self._frontier) if self._frontier else _no_frontier
-        self._plans: dict = {}
-
-    def _plan(self, order: tuple) -> tuple:
-        plan = self._plans.get(order)
-        if plan is None:
-            slot = {t: i for i, t in enumerate(self._slots)}
-            bound = set(range(len(self.variables), len(self._slots)))
-            plan = []
-            for pos in order:
-                tests, binds, repeats = [], [], []
-                here: set = set()
-                for i, t in enumerate(self.body[pos].args):
-                    s = slot[t]
-                    if s in bound:
-                        tests.append((i, s))
-                    elif s in here:
-                        repeats.append((i, s))
-                    else:
-                        binds.append((i, s))
-                        here.add(s)
-                bound |= here
-                plan.append((pos, tuple(tests), tuple(binds), tuple(repeats)))
-            plan = self._plans[order] = tuple(plan)
-        return plan
-
-    def matches(self, lists: Sequence[Sequence[Atom]], out: list) -> None:
-        """Append to ``out`` the image tuple of every match of ``body[i]``
-        onto an atom of ``lists[i]`` for all i, shortest list joined first."""
-        if not all(lists):
-            return
-        order = tuple(sorted(range(len(lists)), key=lambda i: len(lists[i])))
-        slots = list(self._slots)
-        _join(self._plan(order), 0, lists, slots, len(self.variables), out)
-
-    def image_key(self, images: tuple) -> tuple:
-        return tuple(map(term_sort_key, images))
-
-    def substitution(self, images: tuple) -> Substitution:
-        return Substitution(zip(self.variables, images))
-
-    def frontier_image(self, images: tuple) -> tuple:
-        """``engine.frontier_image`` of the trigger with these images."""
-        return tuple(images[s] for s in self._frontier)
-
-    def head_within(self, images: tuple, atoms: frozenset) -> bool:
-        """Whether the head under the image tuple lies in ``atoms``; for a
-        datalog rule, whose head variables all have images."""
-        terms = (images + self._head_terms).__getitem__
-        for p, args in self._head:
-            if Atom(p, tuple(map(terms, args))) not in atoms:
-                return False
-        return True
-
-
-def _no_frontier(images: tuple) -> tuple:
-    return ()
-
-
-def _join(plan: tuple, depth: int, lists: Sequence[Sequence[Atom]], slots: list,
-          n: int, out: list) -> None:
-    # A slot is bound by one plan step only, so a failed match needs no undo:
-    # the next candidate atom overwrites what this one bound.
-    pos, tests, binds, repeats = plan[depth]
-    leaf = depth + 1 == len(plan)
-    for a in lists[pos]:
-        args = a.args
-        for i, s in tests:
-            if args[i] != slots[s]:
-                break
-        else:
-            for i, s in binds:
-                slots[s] = args[i]
-            for i, s in repeats:
-                if args[i] != slots[s]:
-                    break
-            else:
-                if leaf:
-                    out.append(tuple(slots[:n]))
-                else:
-                    _join(plan, depth + 1, lists, slots, n, out)
+        self.head_terms = tuple(sorted({t for a in head for t in a.args} - rule.frontier,
+                                       key=term_sort_key))
+        slot = {t: i for i, t in enumerate(rule.frontier_order + self.head_terms)}
+        self.head = tuple((a.predicate, tuple(slot[t] for t in a.args)) for a in head)
+        frontier = [self.movable.index(v) for v in rule.frontier_order]
+        # ``engine.frontier_image`` of an image tuple's trigger.  An
+        # itemgetter of one index returns a bare item, not a tuple, so fewer
+        # than two slots are read as one slice.
+        if len(frontier) < 2:
+            frontier = [slice(frontier[0], frontier[0] + 1) if frontier else slice(0)]
+        self.frontier_image = itemgetter(*frontier)
 
 
 def derive_rule_metadata(rule_id: str, body: Iterable[Atom], head: Iterable[Atom]) -> Rule:

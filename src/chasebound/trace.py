@@ -21,7 +21,7 @@ from .engine import (
     default_naming,
 )
 from .errors import ChaseError, ReplayFailureError, VersionMismatchError
-from .parser import ParseError, parse_atom, parse_kb, parse_term, serialize_rule
+from .parser import ParseError, parse_kb, parse_term
 from .rules import KnowledgeBase
 from .terms import Substitution, Variable, sorted_atoms
 
@@ -35,7 +35,7 @@ def trace_document(derivation: Derivation,
         "variant": derivation.variant.value,
         "naming_mode": derivation.naming_mode.value,
         "halt_reason": halt_reason.value if halt_reason else None,
-        "rules": [serialize_rule(r) for r in derivation.ruleset],
+        "rules": [str(r) for r in derivation.ruleset],
         "initial": [str(a) for a in sorted_atoms(derivation.initial)],
         "steps": [
             {
@@ -172,8 +172,7 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     return d, halt
 
 
-def witness_document(variant: ChaseVariant, k: int, bound_mode: str,
-                     witness) -> dict:
+def witness_document(k: int, bound_mode: str, witness) -> dict:
     doc = trace_document(witness.derivation)
     doc.update({
         "kind": "witness",
@@ -185,22 +184,6 @@ def witness_document(variant: ChaseVariant, k: int, bound_mode: str,
     return doc
 
 
-def serialize_witness(variant: ChaseVariant, k: int, bound_mode: str, witness) -> str:
-    return json.dumps(witness_document(variant, k, bound_mode, witness),
+def serialize_witness(k: int, bound_mode: str, witness) -> str:
+    return json.dumps(witness_document(k, bound_mode, witness),
                       indent=2, sort_keys=True) + "\n"
-
-
-def load_keep_atoms(text: str) -> frozenset:
-    """Parse a comma-separated atom list in source syntax (for --keep)."""
-    parts = [p.strip() for p in text.split(",")]
-    # Atom arguments contain commas too: re-join fragments until parens balance.
-    atoms = []
-    buffer = ""
-    for part in parts:
-        buffer = f"{buffer},{part}" if buffer else part
-        if buffer.count("(") == buffer.count(")"):
-            atoms.append(parse_atom(buffer))
-            buffer = ""
-    if buffer:
-        atoms.append(parse_atom(buffer))
-    return frozenset(atoms)

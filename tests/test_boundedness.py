@@ -194,6 +194,16 @@ def test_monotonicity_in_k():
                                         witness_bound_mode="paper")).bounded
 
 
+def test_deep_k_does_not_recurse_per_rank():
+    # The derivation search is a loop over a stack of nodes: a branch of 500
+    # ranks must not nest 500 interpreter frames.  Called as a library, since
+    # printing the offending null's name still recurses once per rank.
+    rs = parse_kb("human(X) -> parentOf(Y,X), human(Y).").kb.ruleset
+    verdict = check_k_bounded(BoundedQuery(rs, V.RESTRICTED, 500))
+    assert not verdict.bounded
+    assert verdict.witness.derivation.depth() == 501
+
+
 def test_paper_mode_misses_the_transitivity_witness():
     # The surfaced size-bound discrepancy: with factbases capped at b^k the
     # depth-2 chain witness (3 atoms > b^1 = 2) is out of reach, while the

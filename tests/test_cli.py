@@ -153,6 +153,17 @@ def test_restrict_unknown_keep_atom_is_usage_error(kb_file, tmp_path):
     assert "not in the initial factbase" in err
 
 
+def test_restrict_malformed_keep_reports_column_in_argument(kb_file, tmp_path):
+    trace = tmp_path / "full.json"
+    run_cli(["run", "--kb", kb_file("ex6"), "--variant", "o",
+             "--max-depth", "2", "--max-steps", "10", "--trace", str(trace)])
+    code, _, err = run_cli(["restrict", "--trace", str(trace),
+                            "--keep", "p(a,a), q(a", "--out",
+                            str(tmp_path / "x.json")])
+    assert code == 2
+    assert err.startswith("error: 1:12: expected ')'")
+
+
 def test_restrict_complete_inserts_missing_trigger(tmp_path):
     trace = tmp_path / "ex10.json"
     code, _, _ = run_cli(["run", "--kb", str(FIXTURES / "ex10.dlp"),
@@ -228,6 +239,32 @@ def test_importing_the_cli_leaves_the_process_pool_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_benchmark_tracer_installs_and_traces_the_cli():
+    # perfbench/layers.py rebinds the kernels wherever chasebound imported
+    # them by name, and refuses to install when a binding it needs is gone.
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    script = (
+        "import io, sys\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "import layers\n"
+        "import chasebound.cli as cli\n"
+        "tracer = layers.Tracer()\n"
+        "layers.install(tracer)\n"
+        "out = io.StringIO()\n"
+        f"print(cli.cli(['run', '--kb', {str(FIXTURES / 'ex1.dlp')!r}, '--variant', 'r',\n"
+        "               '--max-steps', '20'], out, out))\n"
+        f"print(cli.cli(['kbounded', '--rules', {str(FIXTURES / 'ex3_pair.dlp')!r},\n"
+        "               '--variant', 'r', '--k', '1'], out, out))\n"
+        "print(tracer.stats['homomorphism.find_homomorphism'].calls > 0)\n")
+    # -B: no bytecode cache is left in perfbench/.
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n0\nTrue\n"
 
 
 def test_usage_error_unknown_subcommand():

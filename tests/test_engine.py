@@ -165,68 +165,86 @@ def test_not_applicable_raises_on_checked_extend():
 
 
 def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
-    # For a datalog rule the restricted check compares pi(head) with the
-    # factbase directly; the extension path it skips must give the same
-    # verdict on every trigger and the same traces.
+    # The restricted check runs once per frontier image, on the head with
+    # that image filled in: a membership loop for a datalog rule, a search
+    # that moves the existential variables otherwise.  Its definitional
+    # reference mints the trigger's fresh nulls, lets only them move and
+    # searches for a homomorphism.  Both must give the same verdict on every
+    # trigger, and the same traces and decider answers when the reference
+    # replaces the check.
     import random
 
     import chasebound.engine as engine
-    from chasebound import (BoundedQuery, check_k_bounded, run_breadth_first,
-                            serialize_trace)
+    from chasebound import (BoundedQuery, check_k_bounded, find_homomorphism,
+                            run_breadth_first, serialize_trace)
     from oracles import random_datalog_kb, random_kb
 
-    fast = engine._applicable
-
-    def extension_path(variant, d, t):
-        verdict = fast(variant, d, t)
+    def reference(d, t):
         rule = d._rule(t)
-        if variant is V.RESTRICTED and rule.is_datalog and t not in d.applied:
-            head = safe_extension(t, rule, d.naming_mode).apply(rule.head)
-            return not head <= d.factbase
-        return verdict
+        extension = safe_extension(t, rule, d.naming_mode)
+        head = extension.apply(rule.head)
+        fresh = frozenset(extension.apply_term(z) for z in rule.existentials)
+        frozen = frozenset(x for at in head for x in at.args) - fresh
+        return find_homomorphism(head, d.factbase, frozen) is None
+
+    check = engine._frontier_open
+
+    def reference_check(variant, d, rule, frontier):
+        if variant is not V.RESTRICTED:
+            return check(variant, d, rule, frontier)
+        # The head image depends on the frontier image and the fresh nulls only.
+        return reference(d, Trigger(rule.rule_id,
+                                    Substitution(zip(rule.frontier_order, frontier))))
 
     kbs = [random_datalog_kb(random.Random(seed)) for seed in range(20)]
+    kbs += [random_kb(random.Random(seed)) for seed in range(40)]
+    assert any(kb.ruleset.rule_constants for kb in kbs[:20])
     # A mixed ruleset (datalog and existential rules) with a rule constant.
-    mixed = next(kb for kb in (random_kb(random.Random(seed)) for seed in range(100))
-                 if kb.ruleset.rule_constants
-                 and any(r.is_datalog for r in kb.ruleset)
-                 and not all(r.is_datalog for r in kb.ruleset))
-    kbs.append(mixed)
-    assert any(kb.ruleset.rule_constants for kb in kbs[:-1])
+    assert any(kb.ruleset.rule_constants and not kb.ruleset.is_datalog
+               and any(r.is_datalog for r in kb.ruleset) for kb in kbs[20:])
 
     def runs():
         traces = []
         for kb in kbs:
             res = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40)
             traces.append(serialize_trace(res.derivation, res.halt_reason))
-        verdict = check_k_bounded(
-            BoundedQuery(load_example("ex3_single").ruleset, V.RESTRICTED, 1))
-        return traces, verdict.bounded, verdict.witness.derivation.triggers()
+        verdicts = []
+        for name, k in (("ex3_single", 1), ("ex4", 2), ("ex2_k2", 1)):
+            v = check_k_bounded(BoundedQuery(load_example(name).ruleset, V.RESTRICTED, k))
+            verdicts.append((v.bounded, v.witness and v.witness.derivation.triggers()))
+        return traces, verdicts
 
     expected = runs()
+    # (datalog rule, applicable, applied) -> triggers seen; every kind of
+    # verdict must occur, on datalog and on existential rules.
+    seen: dict = {}
     for kb in kbs:
-        d = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40).derivation
-        for t in enumerate_triggers(d.factbase, d.ruleset):
-            assert fast(V.RESTRICTED, d, t) == extension_path(V.RESTRICTED, d, t)
-    monkeypatch.setattr(engine, "_applicable", extension_path)
+        run = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40).derivation
+        d = Derivation.start(V.RESTRICTED, kb)
+        for step in run.steps + (None,):
+            for t in enumerate_triggers(d.factbase, d.ruleset):
+                verdict = engine._applicable(V.RESTRICTED, d, t)
+                assert verdict == reference(d, t), t
+                key = (d._rule(t).is_datalog, verdict, t in d.applied)
+                seen[key] = seen.get(key, 0) + 1
+            if step is not None:
+                d = d.extend(step.trigger)
+    assert {(True, True, False), (True, False, False), (False, True, False),
+            (False, False, False), (False, False, True)} <= set(seen), seen
+    monkeypatch.setattr(engine, "_frontier_open", reference_check)
     assert runs() == expected
 
 
 def test_restricted_parent_loop_scales_linearly(monkeypatch):
-    # Counts atom comparisons instead of timing: those of the homomorphism
-    # search and the atoms the rank join visits.  The restricted check looks
-    # the frozen frontier image up in the factbase's argument-position index
-    # and each rank's delta is one atom, so every step of the parent loop
-    # compares a bounded number of atoms, however long the loop has run.
-    from chasebound import homomorphism, rules, run_breadth_first
+    # Counts the atoms the one matcher visits instead of timing: those of the
+    # restricted check's homomorphism search and of the rank join.  The check
+    # looks the frozen frontier image up in the factbase's argument-position
+    # index and each rank's delta is one atom, so every step of the parent
+    # loop visits a bounded number of atoms, however long the loop has run.
+    from chasebound import homomorphism, run_breadth_first
 
     calls = [0]
-    match = homomorphism._match_atom
-    matches = rules.BodyJoin.matches
-
-    def counting(*args):
-        calls[0] += 1
-        return match(*args)
+    matches = homomorphism.Join.matches
 
     class Visited(list):
         def __iter__(self):
@@ -234,11 +252,10 @@ def test_restricted_parent_loop_scales_linearly(monkeypatch):
                 calls[0] += 1
                 yield a
 
-    def counting_matches(join, lists, out):
-        return matches(join, [Visited(atoms) for atoms in lists], out)
+    def counting_matches(join, lists, *args):
+        return matches(join, [Visited(atoms) for atoms in lists], *args)
 
-    monkeypatch.setattr(homomorphism, "_match_atom", counting)
-    monkeypatch.setattr(rules.BodyJoin, "matches", counting_matches)
+    monkeypatch.setattr(homomorphism.Join, "matches", counting_matches)
     kb = load_example("ex1")
     counts = []
     for steps in (100, 200):

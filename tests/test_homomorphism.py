@@ -10,6 +10,7 @@ from chasebound import (
     Constant,
     InitialNull,
     Null,
+    Substitution,
     Variable,
     all_homomorphisms,
     atom,
@@ -61,6 +62,10 @@ def test_all_homomorphisms_counts():
     assert len(subs) == 1
     assert subs[0].apply_term(x) == a and subs[0].apply_term(z) == c
     assert all_homomorphisms(frozenset({atom("q", x)}), two) == []
+    # The empty source maps into any target once, by the empty substitution.
+    for target in (frozenset(), two, IndexedAtoms(two)):
+        assert find_homomorphism(frozenset(), target) == Substitution()
+        assert all_homomorphisms(frozenset(), target) == [Substitution()]
 
 
 def test_all_homomorphisms_matches_brute_force_on_random_inputs():
@@ -84,6 +89,8 @@ def test_all_homomorphisms_matches_brute_force_on_random_inputs():
                             if not isinstance(t, Constant)})
                 for s in brute_force_homomorphisms(source, target)}
         assert got == want
+        first = find_homomorphism(source, target)
+        assert first in got if got else first is None
 
 
 def test_indexed_target_with_frozen_terms_matches_plain_target_and_brute_force():
@@ -123,6 +130,7 @@ def test_indexed_target_with_frozen_terms_matches_plain_target_and_brute_force()
         sub = find_homomorphism(source, indexed, frozen)
         assert (sub is None) == (find_homomorphism(source, plain, frozen) is None) \
             == (not want)
+        assert sub is None or sub in got
         found += sub is not None
     assert 30 < found < 270
 
@@ -245,6 +253,7 @@ def test_homomorphism_soundness_assertions_hold():
             subs = all_homomorphisms(source, tgt, frozen)
             first = find_homomorphism(source, tgt, frozen)
             assert (first is None) == (not subs)
+            assert first is None or first in subs
             for sub in subs + ([first] if first is not None else []):
                 check_sound_homomorphism(sub, source, tgt, frozen)
                 returned += 1

@@ -114,11 +114,11 @@ def test_version_mismatch():
 
 def test_keep_atom_parsing_handles_commas_inside_terms():
     from chasebound.terms import GeneratedNull, Null, TriggerKey
-    from chasebound.trace import load_keep_atoms
+    from chasebound.parser import parse_atoms
 
     n = Null(GeneratedNull("R1", TriggerKey((("X", a), ("Y", Constant("b")))), "Z"))
     spec = f"p(a,b), q({n}), r(a)"
-    got = load_keep_atoms(spec)
+    got = parse_atoms(spec)
     assert atom("p", a, Constant("b")) in got
     assert atom("q", n) in got
     assert atom("r", a) in got
@@ -128,7 +128,7 @@ def test_keep_atom_parsing_handles_commas_inside_terms():
 def test_witness_file_replays_as_a_trace():
     rs = load_example("ex3_single").ruleset
     verdict = check_k_bounded(BoundedQuery(rs, V.RESTRICTED, 1))
-    text = serialize_witness(V.RESTRICTED, 1, "safe", verdict.witness)
+    text = serialize_witness(1, "safe", verdict.witness)
     doc = json.loads(text)
     assert doc["kind"] == "witness"
     assert doc["k"] == 1
