@@ -101,7 +101,7 @@ def _cmd_kbounded(args, out, err) -> int:
         w = verdict.witness
         print(f"witness_factbase_size: {len(w.factbase)}", file=out)
         print(f"witness_minimized_size: {len(w.minimized_factbase)}", file=out)
-        print(f"offending_atom: {w.offending_atom}", file=out)
+        print(f"offending_atom: {w.derivation.show(w.offending_atom)}", file=out)
         if args.witness:
             _write(args.witness,
                    serialize_witness(args.k, args.bound_mode, w))

@@ -1,7 +1,8 @@
 """DOT export of a derivation: nodes are atoms, edges direct ancestry.
 
 Edges belonging to the same trigger share a color; atoms of the same rank are
-grouped on one level.
+grouped on one level.  Atoms are labelled with the derivation's null names, as
+in traces.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def export_dot(derivation: Derivation) -> str:
     for rank in sorted(by_rank):
         group = by_rank[rank]
         for a in group:
-            lines.append(f'  {node_id[a]} [label="{a}\\nrank {rank}"];')
+            lines.append(f'  {node_id[a]} [label="{derivation.show(a)}\\nrank {rank}"];')
         members = "; ".join(node_id[a] for a in group)
         lines.append(f"  {{ rank=same; {members}; }}")
     for i, step in enumerate(derivation.steps):

@@ -39,7 +39,10 @@ Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
 semi-oblivious chase (frontier-equal triggers then produce identical atoms).
 A replay of a derivation therefore starts from that derivation's variant,
-whatever variant's applicability condition it checks.
+whatever variant's applicability condition it checks.  A generated null's own
+printed form spells out its whole provenance, so it grows with its depth;
+traces, DOT output, witnesses and diagnostics print it by a derivation-local
+name instead (``Derivation.null_names``).
 """
 
 from __future__ import annotations
@@ -133,6 +136,22 @@ def safe_extension(trigger: Trigger, rule: Rule, naming: NamingMode) -> Substitu
     return trigger.pi.extended(fresh)
 
 
+def name_new_nulls(names: dict, step_no: int, produced: frozenset) -> None:
+    """Add to ``names`` each null that first appears in step ``step_no``'s
+    produced atoms, as ``_:<existential variable>@<step_no>``.  Such a null
+    is one of the step's fresh nulls (every other term of a produced atom is
+    already in the factbase), so the names of one step are distinct."""
+    for a in produced:
+        for t in a.args:
+            if type(t) is Null and t not in names:
+                names[t] = f"_:{t.provenance.exvar}@{step_no}"
+
+
+def show_atom(a: Atom, names: dict) -> str:
+    """``a`` printed with the null names of ``names``."""
+    return f"{a.predicate}({','.join(names.get(t) or str(t) for t in a.args)})"
+
+
 @dataclass(frozen=True)
 class DerivationStep:
     trigger: Trigger
@@ -154,7 +173,8 @@ class Derivation:
     """
 
     __slots__ = ("variant", "ruleset", "initial", "steps", "factbase",
-                 "_step_of", "_by_rank", "_depth", "applied", "_frontier_seen")
+                 "_step_of", "_by_rank", "_depth", "applied", "_frontier_seen",
+                 "_null_names")
 
     def __init__(self, variant: ChaseVariant, ruleset: RuleSet, initial: frozenset,
                  steps: tuple, factbase: IndexedAtoms, step_of: dict,
@@ -170,6 +190,7 @@ class Derivation:
         self._depth = depth
         self.applied = applied
         self._frontier_seen = frontier_seen
+        self._null_names = None
 
     @classmethod
     def start(cls, variant: ChaseVariant, kb: KnowledgeBase) -> "Derivation":
@@ -191,13 +212,39 @@ class Derivation:
             return step.trigger_rank
         if a in self.initial:
             return 0
-        raise UnknownTargetError(f"atom {a} does not occur in the derivation")
+        raise UnknownTargetError(f"atom {self.show(a)} does not occur in the derivation")
 
     def trigger_rank_of(self, trigger: Trigger) -> int:
         return 1 + max(map(self.atom_rank, self._checked_body(trigger)[1]))
 
     def depth(self) -> int:
         return self._depth
+
+    def null_names(self) -> dict:
+        """Printed name of every null in the derivation.
+
+        A null of the initial factbase keeps its input form.  A generated
+        null is named by the step whose produced atoms it first appears in
+        and its existential variable: ``_:Y@17`` for the ``Y`` null of step
+        17 (steps count from 1).  The names depend on the step log alone, so
+        a prefix of a derivation names its nulls as the whole does, and
+        ``@`` never occurs in an input label.
+        """
+        if self._null_names is None:
+            names = {t: str(t) for a in self.initial for t in a.args
+                     if type(t) is Null}
+            for i, step in enumerate(self.steps, start=1):
+                name_new_nulls(names, i, step.produced)
+            self._null_names = names
+        return self._null_names
+
+    def show(self, x: Union[Atom, Trigger]) -> str:
+        """An atom or trigger of the derivation printed with ``null_names``."""
+        names = self.null_names()
+        if isinstance(x, Trigger):
+            pairs = ",".join(f"{v}:{names.get(t) or t}" for v, t in x.pi.items())
+            return f"({x.rule_id},{{{pairs}}})"
+        return show_atom(x, names)
 
     def triggers(self) -> tuple:
         return tuple(s.trigger for s in self.steps)
@@ -216,11 +263,13 @@ class Derivation:
         """
         if isinstance(target, Trigger):
             if target not in self.applied:
-                raise UnknownTargetError(f"trigger {target} is not part of the derivation")
+                raise UnknownTargetError(
+                    f"trigger {self.show(target)} is not part of the derivation")
             base = self._body_image(target)
         else:
             if target not in self.factbase:
-                raise UnknownTargetError(f"atom {target} does not occur in the derivation")
+                raise UnknownTargetError(
+                    f"atom {self.show(target)} does not occur in the derivation")
             base = self._parents(target)
         collected = set(base)
         frontier = list(base)
@@ -258,7 +307,7 @@ class Derivation:
         image = trigger.pi.apply(rule.body)
         if not image <= self.factbase:
             raise UnknownTriggerError(
-                f"trigger {trigger} body does not embed into the factbase")
+                f"trigger {self.show(trigger)} body does not embed into the factbase")
         return rule, image
 
     # -- construction ------------------------------------------------------
@@ -276,11 +325,11 @@ class Derivation:
         a restriction is a plain derivation that may violate the condition.
         """
         if check and not is_applicable(self.variant, self, trigger):
-            raise NotApplicableError(f"trigger {trigger} is not "
+            raise NotApplicableError(f"trigger {self.show(trigger)} is not "
                                      f"{self.variant.value}-applicable")
         rule, body_image = self._checked_body(trigger)
         if trigger in self.applied:
-            raise NotApplicableError(f"trigger {trigger} already applied")
+            raise NotApplicableError(f"trigger {self.show(trigger)} already applied")
         head = safe_extension(trigger, rule, self.naming_mode).apply(rule.head)
         produced = frozenset(head - self.factbase)
         trank = 1 + max(map(self.atom_rank, body_image))
@@ -481,10 +530,8 @@ def restrict(derivation: Derivation, keep: frozenset) -> Derivation:
         raise KeepNotSubsetError("keep must be a subset of the initial factbase")
     out = Derivation.start(derivation.variant, KnowledgeBase(keep, derivation.ruleset))
     for step in derivation.steps:
-        try:
+        if out._body_image(step.trigger) <= out.factbase:
             out = out.extend(step.trigger, check=False)
-        except UnknownTriggerError:
-            pass  # its body does not embed in what ``keep`` has grown so far
     return out
 
 
@@ -569,7 +616,8 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
                              if rank != k + 1), None)
         if violator is not None:
             rank, t = violator
-            exhaustion = (f"after step {step_no} (last of rank {k}): trigger {t} of "
+            exhaustion = (f"after step {step_no} (last of rank {k}): trigger "
+                          f"{derivation.show(t)} of "
                           f"rank {rank} is still {variant.value}-applicable")
             exhausted_at = k
 
@@ -583,7 +631,7 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
                                 f"step {i + 1}: {exc}")
         if not ok:
             applicability.append(
-                f"step {i + 1}: trigger {step.trigger} is not "
+                f"step {i + 1}: trigger {derivation.show(step.trigger)} is not "
                 f"{variant.value}-applicable")
         prefix, replay = replay, replay.extend(step.trigger, check=False)
         rank = replay.steps[-1].trigger_rank

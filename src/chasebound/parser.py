@@ -7,8 +7,14 @@ Grammar (comments start with ``%``)::
     atoms    comma-separated; identifiers starting lowercase are
              constants/predicates, starting uppercase are variables
     nulls    _:w              initial null (only in facts)
-             _:R1#{X:a}#Z     trigger-keyed generated null (traces only)
-             _:R1#(a)#Z       frontier-keyed generated null (traces only)
+             _:R1#{X:a}#Z     trigger-keyed generated null
+             _:R1#(a)#Z       frontier-keyed generated null
+
+A generated null's syntax spells out its whole provenance (the form ``str``
+prints).  Traces do not print the nulls a derivation generates that way: they
+name them derivation-locally (``_:Z@3``, see ``trace.py``), and replay looks
+those names up instead of parsing them.  The provenance form is still read in
+facts and in ``restrict --keep`` atoms.
 
 Head variables absent from the body are existentially quantified.  Rules are
 renamed apart after parsing by scoping every rule variable with its rule id.

@@ -1,10 +1,18 @@
 """Versioned trace documents: serialize a derivation, replay it bit-exactly.
 
-Traces are human-readable JSON with sorted keys.  Replay rebuilds the
-derivation from the recorded triggers alone and cross-checks every recorded
-step (produced atoms, rank, factbase size); any mismatch is a corruption
-signal and raises ReplayFailureError.  Witness files produced by the decider
-are trace documents with a few extra keys, so they replay the same way.
+Traces are human-readable JSON with sorted keys.  Atoms and substitution
+terms print each generated null by its derivation-local name
+(``Derivation.null_names``: ``_:Y@17`` is the ``Y`` null that step 17
+produced), never by its nested provenance, so a trace grows linearly with
+its steps.  Replay rebuilds the derivation from the recorded triggers alone,
+names each step's new nulls the same way as it goes, and cross-checks every
+recorded step (produced atoms, rank, factbase size); any mismatch is a
+corruption signal and raises ReplayFailureError.  Witness files produced by
+the decider are trace documents with a few extra keys, so they replay the
+same way.
+
+This is format version 2.  Version 1 printed nulls with their provenance;
+it is not read any more (VersionMismatchError).
 """
 
 from __future__ import annotations
@@ -19,17 +27,20 @@ from .engine import (
     NamingMode,
     Trigger,
     default_naming,
+    name_new_nulls,
+    show_atom,
 )
 from .errors import ChaseError, ReplayFailureError, VersionMismatchError
 from .parser import ParseError, parse_kb, parse_term
 from .rules import KnowledgeBase
 from .terms import Substitution, Variable, sorted_atoms
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 
 def trace_document(derivation: Derivation,
                    halt_reason: Optional[HaltReason] = None) -> dict:
+    names = derivation.null_names()
     doc = {
         "format_version": TRACE_FORMAT_VERSION,
         "variant": derivation.variant.value,
@@ -40,8 +51,9 @@ def trace_document(derivation: Derivation,
         "steps": [
             {
                 "rule": s.trigger.rule_id,
-                "substitution": {str(v): str(t) for v, t in s.trigger.pi.items()},
-                "produced": [str(a) for a in sorted_atoms(s.produced)],
+                "substitution": {str(v): names.get(t) or str(t)
+                                 for v, t in s.trigger.pi.items()},
+                "produced": [show_atom(a, names) for a in sorted_atoms(s.produced)],
                 "trigger_rank": s.trigger_rank,
                 "factbase_size": s.resulting_factbase_size,
             }
@@ -104,17 +116,19 @@ def _enum(kind, value):
 
 def _reject_unknown_term(step_no: int, name: str, text: str) -> None:
     """ReplayFailureError for a substitution term absent from the factbase
-    replayed so far, which no trigger of the derivation can use.  The text is
-    parsed only to tell malformed or too deeply nested text apart; no trigger
-    is built from it, so a deep null's name is never printed back."""
-    try:
-        parse_term(text)
-    except ParseError as exc:
-        raise ReplayFailureError(
-            f"step {step_no}: substitution does not parse: {exc}")
-    except RecursionError:
-        raise ReplayFailureError(
-            f"step {step_no}: substitution term for {name} nests too deeply to parse")
+    replayed so far, which no trigger of the derivation can use.  Text without
+    ``@`` (which only generated null names contain) is parsed only to tell
+    malformed or too deeply nested text apart; no trigger is built from it, so
+    a deep null's provenance is never printed back."""
+    if "@" not in text:
+        try:
+            parse_term(text)
+        except ParseError as exc:
+            raise ReplayFailureError(
+                f"step {step_no}: substitution does not parse: {exc}")
+        except RecursionError:
+            raise ReplayFailureError(
+                f"step {step_no}: substitution term for {name} nests too deeply to parse")
     raise ReplayFailureError(
         f"step {step_no}: substitution term for {name} does not occur in the factbase")
 
@@ -142,8 +156,9 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
             f"{variant.value!r}")
     d = Derivation.start(variant, kb)
     # Every term of a valid trigger occurs in the factbase replayed so far, so
-    # terms are looked up by their printed form; parsing a generated null's
-    # name would recurse once per level of its provenance.
+    # terms are looked up by their printed names, which replay assigns to each
+    # step's new nulls as the derivation does.
+    names = dict(d.null_names())
     terms = {str(t): t for a in kb.factbase for t in a.args}
     for i, step in enumerate(doc["steps"], start=1):
         rule_id = step["rule"]
@@ -157,8 +172,9 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
         except ChaseError as exc:
             raise ReplayFailureError(f"step {i}: {exc}")
         new = d.steps[-1]
-        terms.update((str(t), t) for a in new.produced for t in a.args)
-        produced = {str(a) for a in new.produced}
+        name_new_nulls(names, i, new.produced)
+        terms.update((names.get(t) or str(t), t) for a in new.produced for t in a.args)
+        produced = {show_atom(a, names) for a in new.produced}
         if produced != set(step["produced"]):
             raise ReplayFailureError(
                 f"step {i}: produced atoms diverge from the recorded ones")
@@ -178,7 +194,7 @@ def witness_document(k: int, bound_mode: str, witness) -> dict:
         "kind": "witness",
         "k": k,
         "bound_mode": bound_mode,
-        "offending_atom": str(witness.offending_atom),
+        "offending_atom": witness.derivation.show(witness.offending_atom),
         "minimized_factbase": [str(a) for a in sorted_atoms(witness.minimized_factbase)],
     })
     return doc

@@ -414,7 +414,7 @@ def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> V
         if not ok:
             valid = False
             violations.append(
-                f"step {i + 1}: trigger {step.trigger} is not "
+                f"step {i + 1}: trigger {derivation.show(step.trigger)} is not "
                 f"{variant.value}-applicable")
         replay = replay.extend(step.trigger, check=False)
         prefixes.append(replay)
@@ -436,7 +436,7 @@ def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> V
             if rank != k + 1:
                 rank_exhaustive = False
                 violations.append(
-                    f"after step {i + 1} (last of rank {k}): trigger {t} of "
+                    f"after step {i + 1} (last of rank {k}): trigger {derivation.show(t)} of "
                     f"rank {rank} is still {variant.value}-applicable")
                 break
         if not rank_exhaustive:

@@ -9,6 +9,7 @@ import pytest
 
 from chasebound.cli import cli
 from chasebound.homomorphism import canonical_form
+from chasebound.trace import deserialize_trace
 
 from conftest import EXAMPLE_SOURCES
 
@@ -103,6 +104,51 @@ def test_kbounded_unbounded_writes_witness(tmp_path):
     assert "bounded: false" in out
     doc = json.loads(witness.read_text())
     assert doc["kind"] == "witness" and doc["k"] == 1
+
+
+def test_kbounded_deep_witness_prints_its_offending_atom(tmp_path):
+    # The offending null is 501 levels deep; it is printed by its name in the
+    # witness derivation, not by its provenance.
+    rules = tmp_path / "parent.dlp"
+    rules.write_text("human(X) -> parentOf(Y,X), human(Y).\n", encoding="utf-8")
+    witness = tmp_path / "w.json"
+    code, out, err = run_cli(["kbounded", "--rules", str(rules), "--variant", "r",
+                              "--k", "500", "--witness", str(witness)])
+    assert (code, err) == (1, "")
+    assert "bounded: false" in out
+    assert "offending_atom: human(_:Y@501)\n" in out
+    doc = json.loads(witness.read_text())
+    assert doc["offending_atom"] == "human(_:Y@501)"
+    assert doc["steps"][-1]["produced"] == ["human(_:Y@501)",
+                                            "parentOf(_:Y@501,_:Y@500)"]
+    code, out, _ = run_cli(["verify", "--trace", str(witness)])
+    assert "valid_variant_derivation: true" in out
+
+
+def test_kbounded_witness_bytes_do_not_depend_on_jobs(tmp_path):
+    paths = [tmp_path / "w1.json", tmp_path / "w2.json"]
+    for jobs, path in zip(("1", "2"), paths):
+        code, _, _ = run_cli(["kbounded", "--rules", str(FIXTURES / "ex4.dlp"),
+                              "--variant", "o", "--k", "2", "--jobs", jobs,
+                              "--witness", str(path)])
+        assert code == 1
+    assert "@" in paths[0].read_text()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_run_ex2_k2_oblivious_trace_grows_linearly(tmp_path):
+    # Two nulls in every trigger's substitution made each printed null about
+    # 1.6 times as long as its predecessor.
+    per_step = {}
+    for steps in (15, 60):
+        trace = tmp_path / f"t{steps}.json"
+        code, _, _ = run_cli(["run", "--kb", str(FIXTURES / "ex2_k2.dlp"),
+                              "--variant", "o", "--max-steps", str(steps),
+                              "--trace", str(trace)])
+        assert code == 1
+        deserialize_trace(trace.read_text(encoding="utf-8"))
+        per_step[steps] = trace.stat().st_size / steps
+    assert per_step[60] <= 2 * per_step[15]
 
 
 def test_kbounded_budget_exit_3():
@@ -283,6 +329,15 @@ def _mangled_trace(tmp_path, kb_file, mangle):
 
 def _verify_document(tmp_path, kb_file, mangle):
     return run_cli(["verify", "--trace", _mangled_trace(tmp_path, kb_file, mangle)])
+
+
+def test_verify_version_1_trace_is_usage_error(kb_file, tmp_path):
+    def version_1(doc):
+        doc["format_version"] = 1
+        return doc
+    code, out, err = _verify_document(tmp_path, kb_file, version_1)
+    assert (code, out) == (2, "")
+    assert err == "error: trace format version 1, expected 2\n"
 
 
 def test_verify_trace_without_variant_is_replay_failure(kb_file, tmp_path):

@@ -33,3 +33,12 @@ def test_dot_is_deterministic():
     kb = load_example("ex11")
     res = run_breadth_first(V.EQUIVALENT, kb, depth_cap=10, step_cap=100)
     assert export_dot(res.derivation) == export_dot(res.derivation)
+
+
+def test_deep_dot_grows_linearly():
+    # Labels name generated nulls by step, not by their nested provenance.
+    res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=300,
+                            depth_cap=2000)
+    dot = export_dot(res.derivation)
+    assert len(dot.encode("utf-8")) < 150_000
+    assert '[label="human(_:Y@300)\\nrank 300"]' in dot

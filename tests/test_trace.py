@@ -1,6 +1,10 @@
 import json
+import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chasebound import (
     BoundedQuery,
@@ -17,6 +21,7 @@ from chasebound.errors import ReplayFailureError, VersionMismatchError
 from chasebound.terms import Constant, atom
 
 from conftest import load_example
+from oracles import random_kb
 
 V = ChaseVariant
 a = Constant("a")
@@ -42,8 +47,9 @@ def test_round_trip_identity_on_engine_output():
 
 
 def test_deep_trace_round_trips_and_verifies():
-    # Each generated null's printed name nests its whole provenance; replay
-    # must not parse it once per level.
+    # A generated null's own printed form nests its whole provenance; the
+    # trace names it by step and existential variable instead, and replay
+    # looks those names up without parsing anything per level.
     res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=400,
                             depth_cap=2000)
     text, d2, halt = roundtrip(res)
@@ -103,13 +109,49 @@ def test_tampered_products_fail_replay():
         deserialize_trace(json.dumps(doc))
 
 
+def test_thousand_step_trace_is_under_a_megabyte_and_verifies():
+    res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=1000,
+                            depth_cap=2000)
+    text, d2, halt = roundtrip(res)
+    assert len(text.encode("utf-8")) < 1_000_000
+    assert serialize_trace(d2, halt) == text
+    report = verify_derivation(V.RESTRICTED, d2)
+    assert report.is_valid_variant_derivation and report.is_rank_exhaustive
+
+
+def test_generated_nulls_are_named_by_step_and_existential_variable():
+    res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=3)
+    steps = json.loads(serialize_trace(res.derivation))["steps"]
+    assert [s["substitution"] for s in steps] == [
+        {"X": "alice"}, {"X": "_:Y@1"}, {"X": "_:Y@2"}]
+    assert steps[2]["produced"] == ["human(_:Y@3)", "parentOf(_:Y@3,_:Y@2)"]
+
+
+def test_initial_nulls_keep_their_input_form():
+    res = run_breadth_first(V.RESTRICTED, load_example("ex2_k3"), step_cap=4)
+    doc = json.loads(serialize_trace(res.derivation))
+    assert doc["initial"] == ["p(a,_:w)"]
+    assert any("_:w" in at for s in doc["steps"] for at in s["produced"])
+
+
+def test_renamed_null_in_substitution_fails_replay():
+    res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=3)
+    doc = json.loads(serialize_trace(res.derivation))
+    doc["steps"][2]["substitution"]["X"] = "_:Y@3"  # not produced yet
+    with pytest.raises(ReplayFailureError, match="does not occur in the factbase"):
+        deserialize_trace(json.dumps(doc))
+
+
 def test_version_mismatch():
     kb = load_example("ex4")
     res = run_breadth_first(V.RESTRICTED, kb)
     doc = json.loads(serialize_trace(res.derivation, res.halt_reason))
-    doc["format_version"] = 99
-    with pytest.raises(VersionMismatchError):
-        deserialize_trace(json.dumps(doc))
+    # Version 1 printed every null with its whole provenance; no replay path
+    # for it is kept.
+    for version in (1, 99):
+        doc["format_version"] = version
+        with pytest.raises(VersionMismatchError):
+            deserialize_trace(json.dumps(doc))
 
 
 def test_keep_atom_parsing_handles_commas_inside_terms():
@@ -134,5 +176,39 @@ def test_witness_file_replays_as_a_trace():
     assert doc["k"] == 1
     d2, _ = deserialize_trace(text)
     assert d2.depth() == 2
+    # The offending atom is printed with the witness derivation's null names.
     assert d2.atom_rank(next(at for at in d2.factbase
-                             if str(at) == doc["offending_atom"])) == 2
+                             if d2.show(at) == doc["offending_atom"])) == 2
+
+
+GENERATED_NAME = re.compile(r"_:(\w+)@\d+")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from([V.OBLIVIOUS, V.SEMI_OBLIVIOUS, V.RESTRICTED]))
+def test_trace_round_trips_on_random_kbs(seed, variant):
+    res = run_breadth_first(variant, random_kb(random.Random(seed)),
+                            depth_cap=3, step_cap=30)
+    d = res.derivation
+    text = serialize_trace(d, res.halt_reason)
+    d2, halt = deserialize_trace(text)
+    assert d2.triggers() == d.triggers()
+    assert d2.factbase == d.factbase
+    assert {at: d2.atom_rank(at) for at in d2.factbase} == \
+        {at: d.atom_rank(at) for at in d.factbase}
+    assert serialize_trace(d2, halt) == text
+
+    # Renaming one null in a step's produced atoms to a name no null of that
+    # step can have breaks the replay's cross-check.
+    doc = json.loads(text)
+    found = next(((i, j, m) for i, step in enumerate(doc["steps"], start=1)
+                  for j, at in enumerate(step["produced"])
+                  for m in [GENERATED_NAME.search(at)] if m), None)
+    if found is not None:
+        i, j, m = found
+        produced = doc["steps"][i - 1]["produced"]
+        at = produced[j]
+        produced[j] = at[:m.start()] + f"_:{m.group(1)}@{i + 1}" + at[m.end():]
+        with pytest.raises(ReplayFailureError, match=f"step {i}: produced atoms"):
+            deserialize_trace(json.dumps(doc))
