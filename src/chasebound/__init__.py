@@ -48,14 +48,7 @@ from .errors import (
     VariantUnsupportedError,
     VersionMismatchError,
 )
-from .homomorphism import (
-    all_homomorphisms,
-    canonical_form,
-    core,
-    find_homomorphism,
-    homomorphic_equivalent,
-    is_isomorphic,
-)
+from .homomorphism import all_homomorphisms, canonical_form, find_homomorphism
 from .parser import ParseResult, parse_atom, parse_kb, parse_term, serialize_kb
 from .rules import (
     Diagnostic,
@@ -68,13 +61,9 @@ from .rules import (
 from .terms import (
     Atom,
     Constant,
-    FrontierKey,
-    GeneratedNull,
-    InitialNull,
     Null,
     Substitution,
     Term,
-    TriggerKey,
     Variable,
     atom,
 )

@@ -39,10 +39,10 @@ Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
 semi-oblivious chase (frontier-equal triggers then produce identical atoms).
 A replay of a derivation therefore starts from that derivation's variant,
-whatever variant's applicability condition it checks.  A generated null's own
-printed form spells out its whole provenance, so it grows with its depth;
-traces, DOT output, witnesses and diagnostics print it by a derivation-local
-name instead (``Derivation.null_names``).
+whatever variant's applicability condition it checks.  ``safe_extension`` is
+the one place generated nulls are made.  A generated null's own printed form
+is a per-process debug name; traces, DOT output, witnesses and diagnostics
+print it by a derivation-local name instead (``Derivation.null_names``).
 """
 
 from __future__ import annotations
@@ -69,15 +69,7 @@ from .homomorphism import (
     predicate_key,
 )
 from .rules import KnowledgeBase, Rule, RuleSet
-from .terms import (
-    Atom,
-    FrontierKey,
-    GeneratedNull,
-    Null,
-    Substitution,
-    TriggerKey,
-    sorted_atoms,
-)
+from .terms import Atom, Null, Substitution, sorted_atoms
 
 
 class ChaseVariant(str, Enum):
@@ -126,12 +118,12 @@ def safe_extension(trigger: Trigger, rule: Rule, naming: NamingMode) -> Substitu
     as it is."""
     if rule.is_datalog:
         return trigger.pi
-    if naming is NamingMode.TRIGGER:
-        key: Union[TriggerKey, FrontierKey] = TriggerKey(
-            tuple(sorted(((v.name, t) for v, t in trigger.pi.items()))))
+    frontier = naming is NamingMode.FRONTIER
+    if frontier:
+        inner = frontier_image(rule, trigger.pi)
     else:
-        key = FrontierKey(frontier_image(rule, trigger.pi))
-    fresh = {z: Null(GeneratedNull(rule.rule_id, key, z.name))
+        inner = tuple(sorted((v.name, t) for v, t in trigger.pi.items()))
+    fresh = {z: Null.generated(rule.rule_id, z.name, frontier, inner)
              for z in sorted(rule.existentials, key=lambda v: v.name)}
     return trigger.pi.extended(fresh)
 
@@ -144,7 +136,7 @@ def name_new_nulls(names: dict, step_no: int, produced: frozenset) -> None:
     for a in produced:
         for t in a.args:
             if type(t) is Null and t not in names:
-                names[t] = f"_:{t.provenance.exvar}@{step_no}"
+                names[t] = f"_:{t.exvar}@{step_no}"
 
 
 def show_atom(a: Atom, names: dict) -> str:

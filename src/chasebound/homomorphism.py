@@ -1,4 +1,4 @@
-"""Homomorphism search, isomorphism, cores and canonical forms for atom sets.
+"""Homomorphism search and canonical forms for atom sets.
 
 There is one backtracking matcher, ``Join``: a source atom set compiled once
 into slots (one per movable term; constants and ``frozen`` terms are fixed)
@@ -245,112 +245,12 @@ def all_homomorphisms(source: frozenset, target: frozenset,
     return [join.substitution(im) for im in sorted(images, key=join.image_key)]
 
 
-def homomorphic_equivalent(a: frozenset, b: frozenset) -> bool:
-    """Logical equivalence of two atom sets (homomorphisms both ways)."""
-    return (find_homomorphism(a, b) is not None
-            and find_homomorphism(b, a) is not None)
-
-
 def _term_kind(t: Term) -> int:
     if isinstance(t, Constant):
         return 0
     if isinstance(t, Variable):
         return 1
     return 2
-
-
-def is_isomorphic(a: frozenset, b: frozenset,
-                  renameable: frozenset | None = None) -> bool:
-    """True iff a bijective term renaming maps ``a`` onto ``b``.
-
-    By default only variables and nulls are renameable (constants are fixed,
-    matching the textbook notion).  Passing ``renameable`` explicitly allows
-    treating chosen constants as generic labels; renaming is always within the
-    same term kind.  This search is independent of canonical_form so the two
-    can cross-check each other.
-    """
-    if len(a) != len(b):
-        return False
-    if renameable is None:
-        renameable = frozenset(t for s in (a, b) for at in s for t in at.args
-                               if not isinstance(t, Constant))
-
-    by_pred_a: dict[tuple[str, int], list[Atom]] = {}
-    for at in sorted_atoms(a):
-        by_pred_a.setdefault((at.predicate, len(at.args)), []).append(at)
-    by_pred_b: dict[tuple[str, int], list[Atom]] = {}
-    for at in sorted_atoms(b):
-        by_pred_b.setdefault((at.predicate, len(at.args)), []).append(at)
-    if set(by_pred_a) != set(by_pred_b):
-        return False
-    if any(len(by_pred_a[k]) != len(by_pred_b[k]) for k in by_pred_a):
-        return False
-
-    source = sorted_atoms(a)
-    used: set[Atom] = set()
-    fwd: dict[Term, Term] = {}
-    rev: dict[Term, Term] = {}
-
-    def try_map(s: Term, t: Term) -> Optional[tuple]:
-        if s in renameable:
-            if _term_kind(s) != _term_kind(t) or t not in renameable:
-                return None
-            if s in fwd:
-                return () if fwd[s] == t else None
-            if t in rev:
-                return None
-            fwd[s] = t
-            rev[t] = s
-            return (s, t)
-        return () if s == t else None
-
-    def match(pos: int) -> bool:
-        if pos == len(source):
-            return True
-        src = source[pos]
-        for tgt in by_pred_b[(src.predicate, len(src.args))]:
-            if tgt in used:
-                continue
-            added: list[tuple] = []
-            ok = True
-            for s, t in zip(src.args, tgt.args):
-                r = try_map(s, t)
-                if r is None:
-                    ok = False
-                    break
-                if r:
-                    added.append(r)
-            if ok:
-                used.add(tgt)
-                if match(pos + 1):
-                    return True
-                used.discard(tgt)
-            for s, t in added:
-                del fwd[s]
-                del rev[t]
-        return False
-
-    return match(0)
-
-
-def core(atoms: frozenset) -> frozenset:
-    """A minimal subset of ``atoms`` equivalent to it.
-
-    Greedy single-atom removals: look for a homomorphism into the set minus
-    one atom and replace the set by the image.  A fixpoint of this loop admits
-    no homomorphism into any strict subset, i.e. it is a core.
-    """
-    current = frozenset(atoms)
-    changed = True
-    while changed:
-        changed = False
-        for a in sorted_atoms(current):
-            sub = find_homomorphism(current, current - {a})
-            if sub is not None:
-                current = sub.apply(current)
-                changed = True
-                break
-    return current
 
 
 def _label_line(a: Atom, labels: dict[Term, str], counters: list[int]) -> str:

@@ -7,14 +7,10 @@ Grammar (comments start with ``%``)::
     atoms    comma-separated; identifiers starting lowercase are
              constants/predicates, starting uppercase are variables
     nulls    _:w              initial null (only in facts)
-             _:R1#{X:a}#Z     trigger-keyed generated null
-             _:R1#(a)#Z       frontier-keyed generated null
 
-A generated null's syntax spells out its whole provenance (the form ``str``
-prints).  Traces do not print the nulls a derivation generates that way: they
-name them derivation-locally (``_:Z@3``, see ``trace.py``), and replay looks
-those names up instead of parsing them.  The provenance form is still read in
-facts and in ``restrict --keep`` atoms.
+Only initial nulls have a text form.  The nulls a derivation generates are
+named derivation-locally in traces (``_:Z@3``, see ``trace.py``), and replay
+looks those names up instead of parsing them.
 
 Head variables absent from the body are existentially quantified.  Rules are
 renamed apart after parsing by scoping every rule variable with its rule id.
@@ -37,12 +33,8 @@ from .rules import (
 from .terms import (
     Atom,
     Constant,
-    FrontierKey,
-    GeneratedNull,
-    InitialNull,
     Null,
     Term,
-    TriggerKey,
     Variable,
     sorted_atoms,
 )
@@ -64,8 +56,7 @@ class Token:
     column: int
 
 
-_PUNCT2 = ("->",)
-_PUNCT1 = "(),.{}[]#:"
+_PUNCT1 = "(),.[]"
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -155,44 +146,7 @@ class _Parser:
 
     def null(self) -> Null:
         self.expect("NULLSTART")
-        label = self.expect("IDENT").text
-        if not (self.peek().kind == "PUNCT" and self.peek().text == "#"):
-            return Null(InitialNull(label))
-        self.next()
-        key = self.null_key()
-        self.expect("PUNCT", "#")
-        exvar = self.expect("IDENT").text
-        return Null(GeneratedNull(label, key, exvar))
-
-    def null_key(self):
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == "{":
-            self.next()
-            items: list[tuple[str, Term]] = []
-            if not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
-                while True:
-                    name = self.expect("IDENT").text
-                    self.expect("PUNCT", ":")
-                    items.append((name, self.term()))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect("PUNCT", "}")
-            return TriggerKey(tuple(items))
-        if tok.kind == "PUNCT" and tok.text == "(":
-            self.next()
-            images: list[Term] = []
-            if not (self.peek().kind == "PUNCT" and self.peek().text == ")"):
-                while True:
-                    images.append(self.term())
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-            self.expect("PUNCT", ")")
-            return FrontierKey(tuple(images))
-        raise self.fail("expected a null key ('{' or '(')")
+        return Null(self.expect("IDENT").text)
 
     # -- atoms and statements ----------------------------------------------
 

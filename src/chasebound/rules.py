@@ -16,7 +16,6 @@ from .errors import ChaseError, EmptyBodyError, EmptyHeadError
 from .homomorphism import Join
 from .terms import (
     Atom,
-    InitialNull,
     Null,
     Variable,
     constants_of,
@@ -185,7 +184,7 @@ def validate_kb(kb: KnowledgeBase) -> list[Diagnostic]:
                 out.append(Diagnostic(
                     "error", f"factbase atom {a} contains a variable; "
                              f"use an initial null (_:name) instead"))
-            elif isinstance(t, Null) and not isinstance(t.provenance, InitialNull):
+            elif isinstance(t, Null) and t.label is None:
                 out.append(Diagnostic(
                     "error", f"factbase atom {a} contains a non-initial null"))
 

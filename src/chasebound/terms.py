@@ -4,20 +4,19 @@ All types here are immutable values.  Constants, variables, nulls and atoms
 are interned (hash-consed): building one from the same parts returns the same
 object, so equality is identity and hashing is the built-in identity hash,
 both done in C.  Unpickling re-interns, so worker processes and pickles share
-the objects too.  Nulls carry a structured provenance so that the same trigger
-(or frontier image) always re-creates the identical null, which is what makes
-replay bit-exact.
+the objects too.  A generated null is a flat record of the rule, the
+existential variable and the trigger (or frontier image) that make it, so the
+same trigger always re-creates the identical null, which is what makes replay
+bit-exact.
 
-Provenances nest (a null's key can contain earlier nulls), so recomputing
-hashes or serialized forms on every set operation would blow up on deep
-derivations.  Terms order by plain tuple keys (``term_sort_key``), never by
-serialized strings; a null's key nests the keys of the terms in its
-provenance, so it is built once, at interning, and cached.
+A null's inner terms can be earlier nulls, so its depth grows with the
+derivation.  Terms order by plain tuple keys (``term_sort_key``), never by
+printed strings; a null's key holds the keys of its inner terms, so it is
+built once, at interning, and cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 
@@ -71,49 +70,10 @@ class Variable:
         return f"Variable({self.name!r}, {self.scope!r})"
 
 
-@dataclass(frozen=True)
-class InitialNull:
-    """Provenance of a null already present in the input factbase (``_:w``)."""
-
-    label: str
-
-
-@dataclass(frozen=True)
-class TriggerKey:
-    """Canonical encoding of a full body substitution, sorted by variable name."""
-
-    items: tuple
-
-    def __str__(self) -> str:
-        return "{" + ",".join(f"{name}:{term}" for name, term in self.items) + "}"
-
-
-@dataclass(frozen=True)
-class FrontierKey:
-    """Ordered tuple of frontier images (frontier variables sorted by name)."""
-
-    images: tuple
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(t) for t in self.images) + ")"
-
-
-@dataclass(frozen=True)
-class GeneratedNull:
-    """Provenance of a null created by a chase step."""
-
-    rule_id: str
-    key: Union[TriggerKey, FrontierKey]
-    exvar: str
-
-
-NullProvenance = Union[InitialNull, GeneratedNull]
-
-
 class _NullKey(tuple):
     """A null's sort key.  Nulls are interned and each builds its key once, so
     equal keys are the same object; identity equality lets tuple comparison
-    skip equal sub-provenances instead of walking them at every level."""
+    skip equal inner nulls instead of walking them at every level."""
 
     __slots__ = ()
 
@@ -127,44 +87,61 @@ class _NullKey(tuple):
 
 
 class Null:
-    """Interned labelled unknown, one object per provenance."""
+    """Interned labelled unknown, one flat record per null.
 
-    __slots__ = ("provenance", "_str", "depth", "_key")
+    An initial null (``_:w`` in the input) is its ``label``.  A generated null
+    is its ``rule_id``, existential variable ``exvar``, key kind
+    (``frontier``) and ``inner`` terms: the trigger's body substitution as
+    (variable name, term) pairs sorted by name for a trigger key, the
+    trigger's frontier image for a frontier key.  Inner nulls are interned
+    objects, so the record never nests another record.  ``depth`` and the
+    sort key are computed once, at interning.
+
+    A generated null prints as a short debug form, its existential variable
+    and a per-process interning number (``_:Z#17``); outputs name it by
+    ``engine.Derivation.null_names`` instead.
+    """
+
+    __slots__ = ("label", "rule_id", "exvar", "frontier", "inner", "depth", "_key", "_str")
     _interned: dict = {}
 
-    def __new__(cls, provenance: NullProvenance) -> "Null":
-        cached = cls._interned.get(provenance)
-        if cached is not None:
-            return cached
-        self = super().__new__(cls)
-        self.provenance = provenance
-        self._str = None
-        if isinstance(provenance, InitialNull):
+    def __new__(cls, label: str) -> "Null":
+        """The initial null ``_:label``."""
+        self = cls._interned.get(label)
+        if self is None:
+            self = cls._interned[label] = super().__new__(cls)
+            self.label, self.rule_id, self.exvar, self.frontier, self.inner = \
+                label, None, None, False, ()
             self.depth = 0
-            self._key = _NullKey((2, 0, 0, provenance.label))
-        else:
-            key = provenance.key
-            frontier = isinstance(key, FrontierKey)
-            inner = key.images if frontier else tuple(t for _, t in key.items)
-            self.depth = 1 + max((t.depth for t in inner if isinstance(t, Null)),
-                                 default=0)
+            self._key = _NullKey((2, 0, 0, label))
+            self._str = f"_:{label}"
+        return self
+
+    @classmethod
+    def generated(cls, rule_id: str, exvar: str, frontier: bool, inner: tuple) -> "Null":
+        """The null a trigger of ``rule_id`` makes for ``exvar``."""
+        record = (rule_id, exvar, frontier, inner)
+        self = cls._interned.get(record)
+        if self is None:
+            self = super().__new__(cls)
+            self.label = None
+            self.rule_id, self.exvar, self.frontier, self.inner = record
+            terms = inner if frontier else [t for _, t in inner]
+            self.depth = 1 + max((t.depth for t in terms if type(t) is Null), default=0)
             children = [term_sort_key(t) for t in inner] if frontier else \
-                [x for name, t in key.items for x in (name, term_sort_key(t))]
-            self._key = _NullKey((2, self.depth, 1, provenance.rule_id, provenance.exvar,
-                                  int(frontier), len(inner), *children))
-        cls._interned[provenance] = self
+                [x for name, t in inner for x in (name, term_sort_key(t))]
+            self._key = _NullKey((2, self.depth, 1, rule_id, exvar, int(frontier),
+                                  len(inner), *children))
+            self._str = f"_:{exvar}#{len(cls._interned)}"
+            cls._interned[record] = self
         return self
 
     def __reduce__(self):
-        return (Null, (self.provenance,))
+        if self.label is not None:
+            return (Null, (self.label,))
+        return (Null.generated, (self.rule_id, self.exvar, self.frontier, self.inner))
 
     def __str__(self) -> str:
-        if self._str is None:
-            p = self.provenance
-            if isinstance(p, InitialNull):
-                self._str = f"_:{p.label}"
-            else:
-                self._str = f"_:{p.rule_id}#{p.key}#{p.exvar}"
         return self._str
 
     def __repr__(self) -> str:

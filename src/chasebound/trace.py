@@ -3,16 +3,15 @@
 Traces are human-readable JSON with sorted keys.  Atoms and substitution
 terms print each generated null by its derivation-local name
 (``Derivation.null_names``: ``_:Y@17`` is the ``Y`` null that step 17
-produced), never by its nested provenance, so a trace grows linearly with
-its steps.  Replay rebuilds the derivation from the recorded triggers alone,
+produced), so a trace grows linearly with its steps.  Replay rebuilds the derivation from the recorded triggers alone,
 names each step's new nulls the same way as it goes, and cross-checks every
 recorded step (produced atoms, rank, factbase size); any mismatch is a
 corruption signal and raises ReplayFailureError.  Witness files produced by
 the decider are trace documents with a few extra keys, so they replay the
 same way.
 
-This is format version 2.  Version 1 printed nulls with their provenance;
-it is not read any more (VersionMismatchError).
+This is format version 2.  Version 1 printed each generated null with the
+whole trigger that made it; it is not read any more (VersionMismatchError).
 """
 
 from __future__ import annotations
@@ -118,17 +117,13 @@ def _reject_unknown_term(step_no: int, name: str, text: str) -> None:
     """ReplayFailureError for a substitution term absent from the factbase
     replayed so far, which no trigger of the derivation can use.  Text without
     ``@`` (which only generated null names contain) is parsed only to tell
-    malformed or too deeply nested text apart; no trigger is built from it, so
-    a deep null's provenance is never printed back."""
+    malformed text apart; no trigger is built from it."""
     if "@" not in text:
         try:
             parse_term(text)
         except ParseError as exc:
             raise ReplayFailureError(
                 f"step {step_no}: substitution does not parse: {exc}")
-        except RecursionError:
-            raise ReplayFailureError(
-                f"step {step_no}: substitution term for {name} nests too deeply to parse")
     raise ReplayFailureError(
         f"step {step_no}: substitution term for {name} does not occur in the factbase")
 

@@ -18,18 +18,18 @@ from chasebound import (
     ChaseVariant,
     Constant,
     Derivation,
-    FrontierKey,
-    InitialNull,
     KnowledgeBase,
     Null,
     RuleSet,
     Substitution,
+    Term,
     UnknownTriggerError,
     Variable,
     VerifyReport,
     derive_rule_metadata,
     deserialize_trace,
     enumerate_triggers,
+    find_homomorphism,
     is_applicable,
     restrict,
     run_breadth_first,
@@ -46,7 +46,7 @@ from chasebound.boundedness import (
 from chasebound.budget import Budget
 from chasebound.engine import HaltReason, breadth_first_completion, trigger_sort_key
 from chasebound.homomorphism import canonical_form
-from chasebound.terms import term_sort_key
+from chasebound.terms import sorted_atoms, term_sort_key
 
 V = ChaseVariant
 
@@ -75,11 +75,11 @@ def oracle_term_cmp(a, b) -> int:
         return c if c else _cmp_str(a.scope or "", b.scope or "")
     if a.depth != b.depth:
         return -1 if a.depth < b.depth else 1
-    return _oracle_null_cmp(a.provenance, b.provenance)
+    return _oracle_null_cmp(a, b)
 
 
 def _oracle_null_cmp(p, q) -> int:
-    pi, qi = isinstance(p, InitialNull), isinstance(q, InitialNull)
+    pi, qi = p.label is not None, q.label is not None
     if pi != qi:
         return -1 if pi else 1
     if pi:
@@ -87,25 +87,125 @@ def _oracle_null_cmp(p, q) -> int:
     c = _cmp_str(p.rule_id, q.rule_id) or _cmp_str(p.exvar, q.exvar)
     if c:
         return c
-    pk, qk = p.key, q.key
-    pt, qt = isinstance(pk, FrontierKey), isinstance(qk, FrontierKey)
+    pk, qk = p.inner, q.inner
+    pt, qt = p.frontier, q.frontier
     if pt != qt:
         return -1 if not pt else 1
+    if len(pk) != len(qk):
+        return -1 if len(pk) < len(qk) else 1
     if pt:
-        if len(pk.images) != len(qk.images):
-            return -1 if len(pk.images) < len(qk.images) else 1
-        for x, y in zip(pk.images, qk.images):
+        for x, y in zip(pk, qk):
             c = oracle_term_cmp(x, y)
             if c:
                 return c
         return 0
-    if len(pk.items) != len(qk.items):
-        return -1 if len(pk.items) < len(qk.items) else 1
-    for (n1, t1), (n2, t2) in zip(pk.items, qk.items):
+    for (n1, t1), (n2, t2) in zip(pk, qk):
         c = _cmp_str(n1, n2) or oracle_term_cmp(t1, t2)
         if c:
             return c
     return 0
+
+
+# -- isomorphism and cores ------------------------------------------------------
+
+def homomorphic_equivalent(a: frozenset, b: frozenset) -> bool:
+    """Logical equivalence of two atom sets (homomorphisms both ways)."""
+    return (find_homomorphism(a, b) is not None
+            and find_homomorphism(b, a) is not None)
+
+
+def is_isomorphic(a: frozenset, b: frozenset,
+                  renameable: frozenset | None = None) -> bool:
+    """True iff a bijective term renaming maps ``a`` onto ``b``.
+
+    By default only variables and nulls are renameable (constants are fixed,
+    matching the textbook notion).  Passing ``renameable`` explicitly allows
+    treating chosen constants as generic labels; renaming is always within the
+    same term kind.  This search is independent of canonical_form so the two
+    can cross-check each other.
+    """
+    if len(a) != len(b):
+        return False
+    if renameable is None:
+        renameable = frozenset(t for s in (a, b) for at in s for t in at.args
+                               if not isinstance(t, Constant))
+
+    by_pred_a: dict[tuple[str, int], list[Atom]] = {}
+    for at in sorted_atoms(a):
+        by_pred_a.setdefault((at.predicate, len(at.args)), []).append(at)
+    by_pred_b: dict[tuple[str, int], list[Atom]] = {}
+    for at in sorted_atoms(b):
+        by_pred_b.setdefault((at.predicate, len(at.args)), []).append(at)
+    if set(by_pred_a) != set(by_pred_b):
+        return False
+    if any(len(by_pred_a[k]) != len(by_pred_b[k]) for k in by_pred_a):
+        return False
+
+    source = sorted_atoms(a)
+    used: set[Atom] = set()
+    fwd: dict = {}
+    rev: dict = {}
+
+    def try_map(s: Term, t: Term) -> tuple | None:
+        if s in renameable:
+            if _KIND_ORDER[type(s)] != _KIND_ORDER[type(t)] or t not in renameable:
+                return None
+            if s in fwd:
+                return () if fwd[s] == t else None
+            if t in rev:
+                return None
+            fwd[s] = t
+            rev[t] = s
+            return (s, t)
+        return () if s == t else None
+
+    def match(pos: int) -> bool:
+        if pos == len(source):
+            return True
+        src = source[pos]
+        for tgt in by_pred_b[(src.predicate, len(src.args))]:
+            if tgt in used:
+                continue
+            added: list[tuple] = []
+            ok = True
+            for s, t in zip(src.args, tgt.args):
+                r = try_map(s, t)
+                if r is None:
+                    ok = False
+                    break
+                if r:
+                    added.append(r)
+            if ok:
+                used.add(tgt)
+                if match(pos + 1):
+                    return True
+                used.discard(tgt)
+            for s, t in added:
+                del fwd[s]
+                del rev[t]
+        return False
+
+    return match(0)
+
+
+def core(atoms: frozenset) -> frozenset:
+    """A minimal subset of ``atoms`` equivalent to it.
+
+    Greedy single-atom removals: look for a homomorphism into the set minus
+    one atom and replace the set by the image.  A fixpoint of this loop admits
+    no homomorphism into any strict subset, i.e. it is a core.
+    """
+    current = frozenset(atoms)
+    changed = True
+    while changed:
+        changed = False
+        for a in sorted_atoms(current):
+            sub = find_homomorphism(current, current - {a})
+            if sub is not None:
+                current = sub.apply(current)
+                changed = True
+                break
+    return current
 
 
 def brute_force_homomorphisms(source, target, frozen=frozenset()):

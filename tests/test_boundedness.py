@@ -11,7 +11,6 @@ from chasebound import (
     atom,
     check_k_bounded,
     enumerate_representative_factbases,
-    is_isomorphic,
     parse_kb,
     shrink_witness,
     verify_derivation,
@@ -21,7 +20,7 @@ from chasebound.budget import Budget
 from chasebound.errors import BudgetExceededError, VariantUnsupportedError
 
 from conftest import load_example
-from oracles import oracle_check_k_bounded
+from oracles import is_isomorphic, oracle_check_k_bounded
 
 V = ChaseVariant
 a, b = Constant("a"), Constant("b")

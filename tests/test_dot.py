@@ -36,7 +36,7 @@ def test_dot_is_deterministic():
 
 
 def test_deep_dot_grows_linearly():
-    # Labels name generated nulls by step, not by their nested provenance.
+    # Labels name generated nulls by step, so they do not grow with depth.
     res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=300,
                             depth_cap=2000)
     dot = export_dot(res.derivation)

@@ -43,13 +43,17 @@ def test_enumerate_triggers_transitivity():
 
 
 def test_safe_extension_trigger_key_serialization():
-    # Lowercase variable names here pin the exact serialized null form:
-    # _:R1#{x:a,y:a}#z
+    # A trigger-keyed null records the whole body substitution, sorted by
+    # variable name; a frontier-keyed one records the frontier image.
     x, y, z = Variable("x"), Variable("y"), Variable("z")
-    rule = derive_rule_metadata("R1", {atom("p", x, y)}, {atom("p", x, z)})
-    t = Trigger("R1", Substitution({x: a, y: a}))
-    ext = safe_extension(t, rule, NamingMode.TRIGGER)
-    assert str(ext.apply_term(z)) == "_:R1#{x:a,y:a}#z"
+    rule = derive_rule_metadata("R1", {atom("p", y, x)}, {atom("p", x, z)})
+    t = Trigger("R1", Substitution({x: a, y: b}))
+    n = safe_extension(t, rule, NamingMode.TRIGGER).apply_term(z)
+    assert (n.label, n.rule_id, n.exvar, n.frontier, n.inner, n.depth) == \
+        (None, "R1", "z", False, (("x", a), ("y", b)), 1)
+    n = safe_extension(t, rule, NamingMode.FRONTIER).apply_term(z)
+    assert (n.label, n.rule_id, n.exvar, n.frontier, n.inner, n.depth) == \
+        (None, "R1", "z", True, (a,), 1)
 
 
 def test_safe_extension_frontier_key_idempotence():

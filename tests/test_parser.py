@@ -1,20 +1,20 @@
 import pytest
 
 from chasebound import (
+    ChaseVariant,
     Constant,
-    FrontierKey,
-    GeneratedNull,
-    InitialNull,
     Null,
-    TriggerKey,
     atom,
     parse_atom,
     parse_kb,
     parse_term,
+    run_breadth_first,
     serialize_kb,
 )
+from chasebound.parser import ParseError
+from chasebound.terms import nulls_of, term_sort_key
 
-from conftest import EXAMPLE_SOURCES
+from conftest import EXAMPLE_SOURCES, load_example
 
 
 def test_example1_parses_to_expected_shape():
@@ -53,7 +53,7 @@ def test_comments_and_whitespace():
 def test_initial_null_fact():
     result = parse_kb("p(a,_:w).")
     assert result.ok
-    assert result.kb.factbase == {atom("p", Constant("a"), Null(InitialNull("w")))}
+    assert result.kb.factbase == {atom("p", Constant("a"), Null("w"))}
 
 
 def test_variable_in_fact_is_an_error():
@@ -95,15 +95,23 @@ def test_round_trip_fixpoint(name):
 
 
 def test_term_round_trip_with_generated_nulls():
-    key = TriggerKey((("X", Constant("a")), ("Y", Null(InitialNull("w")))))
-    nested = Null(GeneratedNull("R1", key, "Z"))
-    outer = Null(GeneratedNull("R2", TriggerKey((("U", nested),)), "V"))
-    assert parse_term(str(outer)) == outer
-    fk = Null(GeneratedNull("R3", FrontierKey((Constant("a"), nested)), "W"))
-    assert parse_term(str(fk)) == fk
+    # Only an initial null has a text form.  A generated null is a flat
+    # record whose inner terms are the interned terms themselves, and its
+    # debug name does not parse.
+    w = parse_term("_:w")
+    assert w is Null("w") and parse_term(str(w)) is w
+    d = run_breadth_first(ChaseVariant.OBLIVIOUS, load_example("ex2_k3"),
+                          depth_cap=2).derivation
+    deep = max(nulls_of(d.factbase), key=term_sort_key)
+    assert (deep.rule_id, deep.exvar, deep.frontier, deep.depth) == ("R1", "Z", False, 2)
+    (x_name, x_image), (y_name, child) = deep.inner
+    assert (x_name, x_image, y_name) == ("X", w, "Y")
+    assert child.inner == (("X", Constant("a")), ("Y", w)) and child.depth == 1
+    with pytest.raises(ParseError):
+        parse_term(str(deep))
 
 
 def test_parse_atom_helper():
-    assert parse_atom("p(a,_:w)") == atom("p", Constant("a"), Null(InitialNull("w")))
+    assert parse_atom("p(a,_:w)") == atom("p", Constant("a"), Null("w"))
     with pytest.raises(Exception):
         parse_atom("p(a,")

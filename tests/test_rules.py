@@ -1,14 +1,17 @@
 import pytest
 
 from chasebound import (
+    ChaseVariant,
     Constant,
     KnowledgeBase,
+    Null,
     RuleSet,
     Variable,
     atom,
     derive_rule_metadata,
     find_homomorphism,
     parse_kb,
+    run_breadth_first,
     validate_kb,
 )
 from chasebound.errors import EmptyBodyError, EmptyHeadError
@@ -83,6 +86,22 @@ def test_validate_arity_conflict():
     kb = KnowledgeBase(frozenset({atom("p", Constant("a"), Constant("b"))}), rs)
     diags = validate_kb(kb)
     assert any(d.severity == "error" and "arity" in d.message for d in diags)
+
+
+def test_validate_generated_nulls_in_factbase():
+    # Generated nulls have no text form, but a KB built from a derivation's
+    # factbase can still hold them; only initial nulls belong in a factbase.
+    kb = load_example("ex2_k3")
+    d = run_breadth_first(ChaseVariant.RESTRICTED, kb, depth_cap=2).derivation
+    # One diagnostic per generated null in an atom's arguments.
+    generated = [t for a in d.factbase for t in a.args
+                 if isinstance(t, Null) and t.label is None]
+    assert len(generated) >= 3
+    diags = validate_kb(KnowledgeBase(frozenset(d.factbase), kb.ruleset))
+    assert len(diags) == len(generated)
+    assert all(d.severity == "error" and d.message.endswith("contains a non-initial null")
+               for d in diags)
+    assert validate_kb(KnowledgeBase(d.initial, kb.ruleset)) == []
 
 
 def test_variable_reuse_across_rules_is_scoped_and_reported():

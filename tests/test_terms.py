@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -8,12 +9,8 @@ from chasebound import (
     Atom,
     ChaseVariant,
     Constant,
-    FrontierKey,
-    GeneratedNull,
-    InitialNull,
     Null,
     Substitution,
-    TriggerKey,
     Variable,
     atom,
     parse_kb,
@@ -52,24 +49,33 @@ def test_constants_never_in_domain():
 
 
 def test_null_equality_is_structural_and_interned():
-    key = TriggerKey((("x", a), ("y", a)))
-    n1 = Null(GeneratedNull("R1", key, "z"))
-    n2 = Null(GeneratedNull("R1", TriggerKey((("x", a), ("y", a))), "z"))
+    inner = (("x", a), ("y", a))
+    n1 = Null.generated("R1", "z", False, inner)
+    n2 = Null.generated("R1", "z", False, (("x", a), ("y", a)))
     assert n1 is n2
-    n3 = Null(GeneratedNull("R1", key, "w"))
-    assert n1 != n3
-    assert Null(InitialNull("w")) != n1
+    assert n1 != Null.generated("R1", "w", False, inner)
+    assert n1 != Null.generated("R1", "z", True, (a,))
+    assert Null("w") is Null("w") != n1
 
 
 def test_null_serialization():
-    key = TriggerKey((("x", a), ("y", a)))
-    n = Null(GeneratedNull("R1", key, "z"))
-    assert str(n) == "_:R1#{x:a,y:a}#z"
-    assert str(Null(InitialNull("w"))) == "_:w"
+    # A null is a flat record; a generated one prints a short debug name.
+    n = Null.generated("R1", "z", False, (("x", a), ("y", a)))
+    assert (n.label, n.rule_id, n.exvar, n.frontier, n.inner, n.depth) == \
+        (None, "R1", "z", False, (("x", a), ("y", a)), 1)
+    assert re.fullmatch(r"_:z#\d+", str(n))
+    outer = Null.generated("R2", "v", True, (a, n))
+    assert (outer.frontier, outer.inner, outer.depth) == (True, (a, n), 2)
+    assert outer.inner[1] is n
+    assert str(outer) != str(n)
+    w = Null("w")
+    assert (w.label, w.rule_id, w.exvar, w.frontier, w.inner, w.depth) == \
+        ("w", None, None, False, (), 0)
+    assert str(w) == "_:w"
 
 
 def test_atom_arity_and_str():
-    at = atom("p", a, Null(InitialNull("w")))
+    at = atom("p", a, Null("w"))
     assert at.arity == 2
     assert str(at) == "p(a,_:w)"
 
@@ -96,9 +102,24 @@ def test_terms_and_atoms_are_interned():
 
 
 def test_unpickling_returns_the_interned_object():
-    null = Null(GeneratedNull("R1", TriggerKey((("x", a),)), "z"))
-    for value in (a, Variable("X", "R1"), Atom("p", (a, null)), null):
+    null = Null.generated("R1", "z", False, (("x", a),))
+    for value in (a, Variable("X", "R1"), Atom("p", (a, null)), null, Null("w")):
         assert pickle.loads(pickle.dumps(value)) is value
+
+
+@pytest.mark.parametrize("variant, frontier", [
+    (ChaseVariant.SEMI_OBLIVIOUS, True),
+    (ChaseVariant.RESTRICTED, False),
+])
+def test_generated_nulls_of_a_run_unpickle_to_the_interned_object(variant, frontier):
+    # so keys its nulls by frontier image, r by the whole trigger; ``--jobs``
+    # ships both kinds between processes by pickling.
+    d = run_breadth_first(variant, load_example("ex1"), depth_cap=4, step_cap=10).derivation
+    nulls = {t for a in d.factbase for t in a.args if isinstance(t, Null)}
+    assert max(n.depth for n in nulls) == 4
+    assert all(n.frontier is frontier for n in nulls)
+    for n in nulls:
+        assert pickle.loads(pickle.dumps(n)) is n
 
 
 def test_substitution_restrict_and_extend():
@@ -133,10 +154,9 @@ def test_term_sort_key_matches_structural_oracle():
     chains = parse_kb("human(alice). human(bob). human(X) -> parent(Y,X), human(Y).").kb
     terms |= _run_terms(ChaseVariant.RESTRICTED, chains, 60, 200)
     assert max(t.depth for t in terms if isinstance(t, Null)) >= 50
-    assert any(isinstance(t, Null) and isinstance(t.provenance.key, FrontierKey)
-               for t in terms)
+    assert any(isinstance(t, Null) and t.frontier for t in terms)
 
-    pool = sorted(terms, key=str)
+    pool = sorted(terms, key=term_sort_key)
     rng.shuffle(pool)
     assert sorted(pool, key=term_sort_key) == sorted(pool, key=cmp_to_key(oracle_term_cmp))
     for _ in range(20_000):

@@ -47,9 +47,8 @@ def test_round_trip_identity_on_engine_output():
 
 
 def test_deep_trace_round_trips_and_verifies():
-    # A generated null's own printed form nests its whole provenance; the
-    # trace names it by step and existential variable instead, and replay
-    # looks those names up without parsing anything per level.
+    # The trace names each generated null by step and existential variable,
+    # and replay looks those names up without parsing anything per level.
     res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=400,
                             depth_cap=2000)
     text, d2, halt = roundtrip(res)
@@ -155,14 +154,12 @@ def test_version_mismatch():
 
 
 def test_keep_atom_parsing_handles_commas_inside_terms():
-    from chasebound.terms import GeneratedNull, Null, TriggerKey
+    from chasebound.terms import Null
     from chasebound.parser import parse_atoms
 
-    n = Null(GeneratedNull("R1", TriggerKey((("X", a), ("Y", Constant("b")))), "Z"))
-    spec = f"p(a,b), q({n}), r(a)"
-    got = parse_atoms(spec)
+    got = parse_atoms("p(a,b), q(_:w, _:v), r(a)")
     assert atom("p", a, Constant("b")) in got
-    assert atom("q", n) in got
+    assert atom("q", Null("w"), Null("v")) in got
     assert atom("r", a) in got
     assert len(got) == 3
 
