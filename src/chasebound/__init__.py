@@ -23,7 +23,6 @@ from .engine import (
     Derivation,
     DerivationStep,
     HaltReason,
-    NamingMode,
     Trigger,
     VerifyReport,
     breadth_first_completion,
@@ -33,7 +32,6 @@ from .engine import (
     rank_triggers,
     restrict,
     run_breadth_first,
-    run_random_exhaustive,
     safe_extension,
     verify_derivation,
 )

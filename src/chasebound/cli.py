@@ -27,7 +27,6 @@ from .errors import (
     ChaseError,
     InternalVerificationError,
     ReplayFailureError,
-    VersionMismatchError,
 )
 from .parser import parse_atoms, parse_kb
 from .trace import deserialize_trace, serialize_trace, serialize_witness
@@ -220,9 +219,6 @@ def cli(argv: Optional[list[str]] = None, out=None, err=None) -> int:
     except InternalVerificationError as exc:
         print(f"internal verification failure: {exc}", file=err)
         return EXIT_INTERNAL
-    except VersionMismatchError as exc:
-        print(f"error: {exc}", file=err)
-        return EXIT_USAGE
     except (ChaseError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE

@@ -55,7 +55,6 @@ from typing import Iterator, Optional, Union
 from .budget import Budget
 from .errors import (
     ChaseError,
-    InternalVerificationError,
     KeepNotSubsetError,
     NotApplicableError,
     UnknownTargetError,
@@ -77,15 +76,6 @@ class ChaseVariant(str, Enum):
     SEMI_OBLIVIOUS = "so"
     RESTRICTED = "r"
     EQUIVALENT = "e"
-
-
-class NamingMode(str, Enum):
-    TRIGGER = "trigger"
-    FRONTIER = "frontier"
-
-
-def default_naming(variant: ChaseVariant) -> NamingMode:
-    return NamingMode.FRONTIER if variant is ChaseVariant.SEMI_OBLIVIOUS else NamingMode.TRIGGER
 
 
 class HaltReason(str, Enum):
@@ -111,14 +101,14 @@ def frontier_image(rule: Rule, pi: Substitution) -> tuple:
     return tuple(pi.apply_term(v) for v in rule.frontier_order)
 
 
-def safe_extension(trigger: Trigger, rule: Rule, naming: NamingMode) -> Substitution:
+def safe_extension(trigger: Trigger, rule: Rule, variant: ChaseVariant) -> Substitution:
     """Extend the trigger's substitution, mapping each existential variable to
-    a deterministic fresh null keyed by the trigger (or its frontier image).
-    A datalog rule has no existential variable: its substitution is returned
-    as it is."""
+    a deterministic fresh null keyed by the trigger, or by its frontier image
+    for a semi-oblivious derivation.  A datalog rule has no existential
+    variable: its substitution is returned as it is."""
     if rule.is_datalog:
         return trigger.pi
-    frontier = naming is NamingMode.FRONTIER
+    frontier = variant is ChaseVariant.SEMI_OBLIVIOUS
     if frontier:
         inner = frontier_image(rule, trigger.pi)
     else:
@@ -158,7 +148,7 @@ class Derivation:
     Everything else is read off the steps: each produced atom maps to the
     step that produced it, so its rank is that step's trigger rank and its
     direct ancestors are that trigger's body image; initial atoms have rank 0
-    and no ancestors.  Nulls are named by the variant's default naming mode.
+    and no ancestors.  Nulls are keyed by the variant (``safe_extension``).
     The factbase, the atoms by (predicate, rank), the depth, the applied
     triggers and the frontier images seen are kept as indexes for trigger
     enumeration and the applicability checks.
@@ -191,10 +181,6 @@ class Derivation:
         by_rank = {(key, 0): atoms for key, atoms in factbase.index.items()}
         return cls(variant, kb.ruleset, initial, (), factbase, {}, by_rank, 0,
                    frozenset(), frozenset())
-
-    @property
-    def naming_mode(self) -> NamingMode:
-        return default_naming(self.variant)
 
     # -- queries ----------------------------------------------------------
 
@@ -306,7 +292,7 @@ class Derivation:
 
     def produced_preview(self, trigger: Trigger) -> frozenset:
         rule = self._rule(trigger)
-        head = safe_extension(trigger, rule, self.naming_mode).apply(rule.head)
+        head = safe_extension(trigger, rule, self.variant).apply(rule.head)
         return head - self.factbase
 
     def extend(self, trigger: Trigger, check: bool = True) -> "Derivation":
@@ -322,7 +308,7 @@ class Derivation:
         rule, body_image = self._checked_body(trigger)
         if trigger in self.applied:
             raise NotApplicableError(f"trigger {self.show(trigger)} already applied")
-        head = safe_extension(trigger, rule, self.naming_mode).apply(rule.head)
+        head = safe_extension(trigger, rule, self.variant).apply(rule.head)
         produced = frozenset(head - self.factbase)
         trank = 1 + max(map(self.atom_rank, body_image))
         factbase = self.factbase.with_atoms(produced)
@@ -468,7 +454,7 @@ def _applicable(variant: ChaseVariant, derivation: Derivation,
 
     # Equivalent chase: the extension must not fold back onto the factbase.
     # All nulls (including the factbase's own) may move; constants may not.
-    head = safe_extension(trigger, rule, derivation.naming_mode).apply(rule.head)
+    head = safe_extension(trigger, rule, derivation.variant).apply(rule.head)
     if head <= derivation.factbase:
         return False
     extended = derivation.factbase | head
@@ -790,86 +776,3 @@ def enumerate_breadth_first_derivations(
             yield item
         else:
             stack.append(expand(*item))
-
-
-def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,
-                          seed: int, step_cap: int = 200) -> ChaseResult:
-    """Fair random-order run: picks any applicable trigger, not rank-first.
-
-    A run that stops because nothing is applicable is exhaustive, hence
-    terminating; useful for exercising the reordering propositions.
-    """
-    rng = random.Random(seed)
-    d = Derivation.start(variant, kb)
-    while len(d.steps) < step_cap:
-        apps = [t for _, t in _applicable_new_triggers(variant, d)]
-        if not apps:
-            return ChaseResult(d, HaltReason.TERMINATED)
-        d = d.extend(rng.choice(apps), check=False)
-    return ChaseResult(d, HaltReason.STEP_CAP)
-
-
-# -- reordering constructions ------------------------------------------------
-
-
-def rank_sort(derivation: Derivation,
-              check_variant: Optional[ChaseVariant] = None) -> Derivation:
-    """Stable-sort the triggers by rank and replay, re-sorting by the
-    replayed ranks until they come out sorted.
-
-    For a terminating oblivious derivation the result is a breadth-first
-    terminating derivation of smaller or equal depth.  With ``check_variant``
-    the replay re-checks applicability and drops the triggers that became
-    redundant; for a terminating restricted-chase derivation and the
-    restricted variant it yields a terminating rank-compatible restricted
-    derivation.
-    """
-    order = list(derivation.triggers())
-    ranks = {s.trigger: s.trigger_rank for s in derivation.steps}
-    for _ in range(5 * len(order) + 10):
-        order.sort(key=ranks.__getitem__)
-        replayed = Derivation.start(derivation.variant,
-                                    KnowledgeBase(derivation.initial, derivation.ruleset))
-        for t in order:
-            if check_variant is None or is_applicable(check_variant, replayed, t):
-                replayed = replayed.extend(t, check=False)
-        new_ranks = [s.trigger_rank for s in replayed.steps]
-        if new_ranks == sorted(new_ranks):
-            return replayed
-        # A dropped trigger keeps its last rank.
-        ranks.update({s.trigger: s.trigger_rank for s in replayed.steps})
-    raise InternalVerificationError("rank_sort did not stabilize")
-
-
-def so_breadth_first_from(derivation: Derivation) -> Derivation:
-    """Breadth-first reordering of a terminating semi-oblivious derivation by
-    frontier-equal replacement.
-
-    Layer by layer, each remaining trigger is swapped for a frontier-equal
-    trigger applicable on the part already rebuilt; frontier-keyed nulls make
-    the replacement produce exactly the same atoms.
-    """
-    if derivation.variant is not ChaseVariant.SEMI_OBLIVIOUS:
-        raise ChaseError("frontier-equal replacement requires the semi-oblivious chase")
-    rs = derivation.ruleset
-    bf = Derivation.start(ChaseVariant.SEMI_OBLIVIOUS, KnowledgeBase(derivation.initial, rs))
-    remaining = list(derivation.triggers())
-    while remaining:
-        layer: list[tuple[Trigger, Trigger]] = []
-        for t in remaining:
-            rule = rs[t.rule_id]
-            want = frontier_image(rule, t.pi)
-            for pi2 in all_homomorphisms(rule.body, bf.factbase):
-                cand = Trigger(t.rule_id, pi2)
-                if frontier_image(rule, pi2) == want and \
-                        is_applicable(ChaseVariant.SEMI_OBLIVIOUS, bf, cand):
-                    layer.append((t, cand))
-                    break
-        if not layer:
-            break
-        for orig, cand in layer:
-            if is_applicable(ChaseVariant.SEMI_OBLIVIOUS, bf, cand):
-                bf = bf.extend(cand, check=False)
-        done = {orig for orig, _ in layer}
-        remaining = [t for t in remaining if t not in done]
-    return bf

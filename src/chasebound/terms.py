@@ -70,20 +70,38 @@ class Variable:
         return f"Variable({self.name!r}, {self.scope!r})"
 
 
-class _NullKey(tuple):
-    """A null's sort key.  Nulls are interned and each builds its key once, so
-    equal keys are the same object; identity equality lets tuple comparison
-    skip equal inner nulls instead of walking them at every level."""
+class _Inner:
+    """The inner terms' keys at the end of a generated null's sort key.  Each
+    null builds its key once, so equality is identity, and the other fields
+    settle most comparisons in C.  Inner keys nest one level per null depth,
+    so ordering walks them in a loop where tuple comparison would recurse."""
 
-    __slots__ = ()
+    __slots__ = ("keys",)
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
+    def __init__(self, keys: tuple):
+        self.keys = keys
 
-    def __ne__(self, other: object) -> bool:
-        return self is not other
+    def __lt__(self, other: "_Inner") -> bool:
+        return _keys_less(self.keys, other.keys)
 
-    __hash__ = object.__hash__
+    def __gt__(self, other: "_Inner") -> bool:
+        return _keys_less(other.keys, self.keys)
+
+
+def _keys_less(a: tuple, b: tuple) -> bool:
+    """``a < b`` in tuple order, descending into the first unequal pair."""
+    while True:
+        for x, y in zip(a, b):
+            if x is not y and x != y:
+                break
+        else:
+            return len(a) < len(b)
+        if type(x) is _Inner:
+            a, b = x.keys, y.keys
+        elif type(x) is tuple and type(y) is tuple:
+            a, b = x, y
+        else:
+            return x < y
 
 
 class Null:
@@ -113,7 +131,7 @@ class Null:
             self.label, self.rule_id, self.exvar, self.frontier, self.inner = \
                 label, None, None, False, ()
             self.depth = 0
-            self._key = _NullKey((2, 0, 0, label))
+            self._key = (2, 0, 0, label)
             self._str = f"_:{label}"
         return self
 
@@ -130,8 +148,8 @@ class Null:
             self.depth = 1 + max((t.depth for t in terms if type(t) is Null), default=0)
             children = [term_sort_key(t) for t in inner] if frontier else \
                 [x for name, t in inner for x in (name, term_sort_key(t))]
-            self._key = _NullKey((2, self.depth, 1, rule_id, exvar, int(frontier),
-                                  len(inner), *children))
+            self._key = (2, self.depth, 1, rule_id, exvar, int(frontier),
+                         len(inner), _Inner(tuple(children)))
             self._str = f"_:{exvar}#{len(cls._interned)}"
             cls._interned[record] = self
         return self

@@ -23,9 +23,7 @@ from .engine import (
     ChaseVariant,
     Derivation,
     HaltReason,
-    NamingMode,
     Trigger,
-    default_naming,
     name_new_nulls,
     show_atom,
 )
@@ -35,6 +33,9 @@ from .rules import KnowledgeBase
 from .terms import Substitution, Variable, sorted_atoms
 
 TRACE_FORMAT_VERSION = 2
+# How each variant keys its generated nulls (``engine.safe_extension``).
+_NAMING_MODE = {v: "frontier" if v is ChaseVariant.SEMI_OBLIVIOUS else "trigger"
+                for v in ChaseVariant}
 
 
 def trace_document(derivation: Derivation,
@@ -43,7 +44,7 @@ def trace_document(derivation: Derivation,
     doc = {
         "format_version": TRACE_FORMAT_VERSION,
         "variant": derivation.variant.value,
-        "naming_mode": derivation.naming_mode.value,
+        "naming_mode": _NAMING_MODE[derivation.variant],
         "halt_reason": halt_reason.value if halt_reason else None,
         "rules": [str(r) for r in derivation.ruleset],
         "initial": [str(a) for a in sorted_atoms(derivation.initial)],
@@ -145,7 +146,7 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     _check_shape(doc)
     kb = _parse_ruleset_and_initial(doc)
     variant = _enum(ChaseVariant, doc["variant"])
-    if _enum(NamingMode, doc["naming_mode"]) is not default_naming(variant):
+    if doc["naming_mode"] != _NAMING_MODE[variant]:
         raise ReplayFailureError(
             f"naming mode {doc['naming_mode']!r} is not the default for variant "
             f"{variant.value!r}")

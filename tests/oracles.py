@@ -15,6 +15,7 @@ from chasebound import (
     BoundedQuery,
     BoundednessVerdict,
     ChaseError,
+    ChaseResult,
     ChaseVariant,
     Constant,
     Derivation,
@@ -44,7 +45,12 @@ from chasebound.boundedness import (
     generic_pool,
 )
 from chasebound.budget import Budget
-from chasebound.engine import HaltReason, breadth_first_completion, trigger_sort_key
+from chasebound.engine import (
+    HaltReason,
+    _applicable_new_triggers,
+    breadth_first_completion,
+    trigger_sort_key,
+)
 from chasebound.homomorphism import canonical_form
 from chasebound.terms import sorted_atoms, term_sort_key
 
@@ -299,6 +305,23 @@ def random_single_rule_set(rng: random.Random) -> RuleSet:
     body = {rand_atom(variables[:3]) for _ in range(rng.randint(1, 2))}
     head = {rand_atom(variables)}
     return RuleSet([derive_rule_metadata("G1", body, head)])
+
+
+def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,
+                          seed: int, step_cap: int = 200) -> ChaseResult:
+    """Fair random-order run: picks any applicable trigger, not rank-first.
+
+    A run that stops because nothing is applicable is exhaustive, hence
+    terminating; useful for exercising the reordering propositions.
+    """
+    rng = random.Random(seed)
+    d = Derivation.start(variant, kb)
+    while len(d.steps) < step_cap:
+        apps = [t for _, t in _applicable_new_triggers(variant, d)]
+        if not apps:
+            return ChaseResult(d, HaltReason.TERMINATED)
+        d = d.extend(rng.choice(apps), check=False)
+    return ChaseResult(d, HaltReason.STEP_CAP)
 
 
 # -- property checks -------------------------------------------------------------

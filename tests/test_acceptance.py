@@ -27,7 +27,7 @@ from chasebound import (
 )
 from chasebound.boundedness import default_pool_size
 from chasebound.cli import cli
-from chasebound.engine import NamingMode, safe_extension
+from chasebound.engine import safe_extension
 
 from conftest import load_example, trig
 from oracles import (
@@ -159,7 +159,7 @@ def test_criterion_06_restriction_reproduces_the_walkthrough():
         pi2 = trig(rs, "R", {"X": b, "Y": b})
         d = Derivation.start(V.OBLIVIOUS, kb).extend(pi1).extend(pi2)
         z1 = next(at.args[1] for at in
-                  safe_extension(pi1, rule, NamingMode.TRIGGER).apply(rule.head))
+                  safe_extension(pi1, rule, V.OBLIVIOUS).apply(rule.head))
         pi3 = trig(rs, "R", {"X": a, "Y": z1})
         d = d.extend(pi3)
         z3 = next(at.args[1] for at in d.steps[-1].produced)

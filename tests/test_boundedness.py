@@ -19,7 +19,7 @@ from chasebound.boundedness import search_factbase
 from chasebound.budget import Budget
 from chasebound.errors import BudgetExceededError, VariantUnsupportedError
 
-from conftest import load_example
+from conftest import EXAMPLE_SOURCES, load_example
 from oracles import is_isomorphic, oracle_check_k_bounded
 
 V = ChaseVariant
@@ -104,6 +104,25 @@ def test_representative_factbases_match_unpruned_oracle():
     for name, rs, size in cases:
         assert list(enumerate_representative_factbases(rs, size)) == \
             list(oracle_representative_factbases(rs, size)), name
+
+
+def test_lower_level_factbases_are_a_prefix_of_the_next_level():
+    # Level k's representative factbases (at its witness size cap) come out
+    # element for element as the first ones of level k+1, so a search over
+    # ascending k can enumerate once at the largest level it reaches.
+    def reps(rs, k):
+        return enumerate_representative_factbases(
+            rs, BoundedQuery(rs, V.RESTRICTED, k).max_atoms)
+
+    def levels(rs, k):
+        lower = list(reps(rs, k))
+        return lower, list(itertools.islice(reps(rs, k + 1), len(lower)))
+
+    for name in EXAMPLE_SOURCES:
+        lower, upper = levels(load_example(name).ruleset, 0)
+        assert lower == upper, name
+    lower, upper = levels(load_example("ex3_pair").ruleset, 1)
+    assert len(lower) == 232 and lower == upper
 
 
 # -- the decider ----------------------------------------------------------------
@@ -195,8 +214,8 @@ def test_monotonicity_in_k():
 
 def test_deep_k_does_not_recurse_per_rank():
     # The derivation search is a loop over a stack of nodes: a branch of 500
-    # ranks must not nest 500 interpreter frames.  Called as a library, since
-    # printing the offending null's name still recurses once per rank.
+    # ranks must not nest 500 interpreter frames.  test_cli.py runs the same
+    # query through the CLI, which also prints the witness.
     rs = parse_kb("human(X) -> parentOf(Y,X), human(Y).").kb.ruleset
     verdict = check_k_bounded(BoundedQuery(rs, V.RESTRICTED, 500))
     assert not verdict.bounded

@@ -9,6 +9,7 @@ import pytest
 
 from chasebound.cli import cli
 from chasebound.homomorphism import canonical_form
+from chasebound.terms import Constant, Null, term_sort_key
 from chasebound.trace import deserialize_trace
 
 from conftest import EXAMPLE_SOURCES
@@ -123,6 +124,33 @@ def test_kbounded_deep_witness_prints_its_offending_atom(tmp_path):
                                             "parentOf(_:Y@501,_:Y@500)"]
     code, out, _ = run_cli(["verify", "--trace", str(witness)])
     assert "valid_variant_derivation: true" in out
+
+
+def test_two_parallel_chains_run_to_depth_1000(tmp_path):
+    # Two null chains of equal depth differ only at their bottom constant, so
+    # ordering their nulls walks 1000 levels of keys: that must be a loop.
+    kb = tmp_path / "two.dlp"
+    kb.write_text("human(alice). human(bob). human(X) -> parent(Y,X), human(Y).\n",
+                  encoding="utf-8")
+    trace = tmp_path / "t.json"
+    code, out, err = run_cli(["run", "--kb", str(kb), "--variant", "r",
+                              "--max-steps", "2000", "--max-depth", "2000",
+                              "--trace", str(trace)])
+    assert (code, err) == (1, "")
+    assert "steps: 2000\n" in out and "depth: 1000\n" in out
+    d, _ = deserialize_trace(trace.read_text(encoding="utf-8"))
+    deepest = {t for a in d.factbase for t in a.args
+               if type(t) is Null and t.depth == 1000}
+    assert len(deepest) == 2
+
+    def bottom(null):
+        while type(null) is Null:
+            ((_, null),) = null.inner
+        return null
+
+    first, second = sorted(deepest, key=term_sort_key)
+    assert (bottom(first), bottom(second)) == (Constant("alice"), Constant("bob"))
+    assert max(second._key, first._key) is second._key  # ``>`` loops too
 
 
 def test_kbounded_witness_bytes_do_not_depend_on_jobs(tmp_path):

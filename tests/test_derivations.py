@@ -6,7 +6,6 @@ from chasebound import (
     Derivation,
     HaltReason,
     KnowledgeBase,
-    NamingMode,
     breadth_first_completion,
     enumerate_breadth_first_derivations,
     restrict,
@@ -34,7 +33,7 @@ def build_example6():
     d = Derivation.start(V.OBLIVIOUS, kb)
     pi1 = trig(rs, "R", {"X": a, "Y": a})
     pi2 = trig(rs, "R", {"X": b, "Y": b})
-    z1 = safe_extension(pi1, rule, NamingMode.TRIGGER).apply(rule.head)
+    z1 = safe_extension(pi1, rule, V.OBLIVIOUS).apply(rule.head)
     z_pi1 = next(at.args[1] for at in z1)
     d = d.extend(pi1).extend(pi2)
     pi3 = trig(rs, "R", {"X": a, "Y": z_pi1})

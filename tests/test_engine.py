@@ -4,7 +4,6 @@ from chasebound import (
     ChaseVariant,
     Constant,
     Derivation,
-    NamingMode,
     Substitution,
     Trigger,
     Variable,
@@ -48,10 +47,10 @@ def test_safe_extension_trigger_key_serialization():
     x, y, z = Variable("x"), Variable("y"), Variable("z")
     rule = derive_rule_metadata("R1", {atom("p", y, x)}, {atom("p", x, z)})
     t = Trigger("R1", Substitution({x: a, y: b}))
-    n = safe_extension(t, rule, NamingMode.TRIGGER).apply_term(z)
+    n = safe_extension(t, rule, V.OBLIVIOUS).apply_term(z)
     assert (n.label, n.rule_id, n.exvar, n.frontier, n.inner, n.depth) == \
         (None, "R1", "z", False, (("x", a), ("y", b)), 1)
-    n = safe_extension(t, rule, NamingMode.FRONTIER).apply_term(z)
+    n = safe_extension(t, rule, V.SEMI_OBLIVIOUS).apply_term(z)
     assert (n.label, n.rule_id, n.exvar, n.frontier, n.inner, n.depth) == \
         (None, "R1", "z", True, (a,), 1)
 
@@ -61,8 +60,8 @@ def test_safe_extension_frontier_key_idempotence():
     rule = kb.ruleset["R1"]
     t1 = trig(kb.ruleset, "R1", {"X": a, "Y": a})
     t2 = trig(kb.ruleset, "R1", {"X": a, "Y": b})  # frontier-equal: X -> a
-    e1 = safe_extension(t1, rule, NamingMode.FRONTIER)
-    e2 = safe_extension(t2, rule, NamingMode.FRONTIER)
+    e1 = safe_extension(t1, rule, V.SEMI_OBLIVIOUS)
+    e2 = safe_extension(t2, rule, V.SEMI_OBLIVIOUS)
     assert e1.apply(rule.head) == e2.apply(rule.head)
 
 
@@ -70,7 +69,7 @@ def test_safe_extension_datalog_is_identity():
     kb = load_example("ex3_single")
     rule = kb.ruleset["tc"]
     t = trig(kb.ruleset, "tc", {"X": a, "Y": b, "Z": c})
-    assert safe_extension(t, rule, NamingMode.TRIGGER) == t.pi
+    assert safe_extension(t, rule, V.OBLIVIOUS) == t.pi
 
 
 def test_o_applicable_but_not_so():
@@ -185,7 +184,7 @@ def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
 
     def reference(d, t):
         rule = d._rule(t)
-        extension = safe_extension(t, rule, d.naming_mode)
+        extension = safe_extension(t, rule, d.variant)
         head = extension.apply(rule.head)
         fresh = frozenset(extension.apply_term(z) for z in rule.existentials)
         frozen = frozenset(x for at in head for x in at.args) - fresh

@@ -24,7 +24,6 @@ from chasebound import (
     parse_kb,
     rank_triggers,
     run_breadth_first,
-    run_random_exhaustive,
     serialize_trace,
     verify_derivation,
 )
@@ -38,6 +37,7 @@ from oracles import (
     oracle_verify_derivation,
     random_datalog_kb,
     random_kb,
+    run_random_exhaustive,
 )
 
 V = ChaseVariant

@@ -3,22 +3,93 @@
 For the oblivious and semi-oblivious chases a terminating derivation reorders
 into a breadth-first one of smaller or equal depth; for the restricted chase,
 rank-sorting with applicability re-checks yields a terminating rank-compatible
-derivation.
+derivation.  The two reorderings are proof devices that no command runs, so
+they are built here, on the engine's public steps.
 """
 
 import random
+from typing import Optional
 
-from chasebound import ChaseVariant, run_breadth_first, verify_derivation
-from chasebound.engine import (
-    HaltReason,
-    rank_sort,
-    run_random_exhaustive,
-    so_breadth_first_from,
+from chasebound import (
+    ChaseError,
+    ChaseVariant,
+    Derivation,
+    KnowledgeBase,
+    Trigger,
+    all_homomorphisms,
+    is_applicable,
+    run_breadth_first,
+    verify_derivation,
 )
+from chasebound.engine import HaltReason, frontier_image
+from chasebound.errors import InternalVerificationError
 
-from oracles import random_kb
+from oracles import random_kb, run_random_exhaustive
 
 V = ChaseVariant
+
+
+def rank_sort(derivation: Derivation,
+              check_variant: Optional[ChaseVariant] = None) -> Derivation:
+    """Stable-sort the triggers by rank and replay, re-sorting by the
+    replayed ranks until they come out sorted.
+
+    For a terminating oblivious derivation the result is a breadth-first
+    terminating derivation of smaller or equal depth.  With ``check_variant``
+    the replay re-checks applicability and drops the triggers that became
+    redundant; for a terminating restricted-chase derivation and the
+    restricted variant it yields a terminating rank-compatible restricted
+    derivation.
+    """
+    order = list(derivation.triggers())
+    ranks = {s.trigger: s.trigger_rank for s in derivation.steps}
+    for _ in range(5 * len(order) + 10):
+        order.sort(key=ranks.__getitem__)
+        replayed = Derivation.start(derivation.variant,
+                                    KnowledgeBase(derivation.initial, derivation.ruleset))
+        for t in order:
+            if check_variant is None or is_applicable(check_variant, replayed, t):
+                replayed = replayed.extend(t, check=False)
+        new_ranks = [s.trigger_rank for s in replayed.steps]
+        if new_ranks == sorted(new_ranks):
+            return replayed
+        # A dropped trigger keeps its last rank.
+        ranks.update({s.trigger: s.trigger_rank for s in replayed.steps})
+    raise InternalVerificationError("rank_sort did not stabilize")
+
+
+def so_breadth_first_from(derivation: Derivation) -> Derivation:
+    """Breadth-first reordering of a terminating semi-oblivious derivation by
+    frontier-equal replacement.
+
+    Layer by layer, each remaining trigger is swapped for a frontier-equal
+    trigger applicable on the part already rebuilt; frontier-keyed nulls make
+    the replacement produce exactly the same atoms.
+    """
+    if derivation.variant is not V.SEMI_OBLIVIOUS:
+        raise ChaseError("frontier-equal replacement requires the semi-oblivious chase")
+    rs = derivation.ruleset
+    bf = Derivation.start(V.SEMI_OBLIVIOUS, KnowledgeBase(derivation.initial, rs))
+    remaining = list(derivation.triggers())
+    while remaining:
+        layer: list[tuple[Trigger, Trigger]] = []
+        for t in remaining:
+            rule = rs[t.rule_id]
+            want = frontier_image(rule, t.pi)
+            for pi2 in all_homomorphisms(rule.body, bf.factbase):
+                cand = Trigger(t.rule_id, pi2)
+                if frontier_image(rule, pi2) == want and \
+                        is_applicable(V.SEMI_OBLIVIOUS, bf, cand):
+                    layer.append((t, cand))
+                    break
+        if not layer:
+            break
+        for orig, cand in layer:
+            if is_applicable(V.SEMI_OBLIVIOUS, bf, cand):
+                bf = bf.extend(cand, check=False)
+        done = {orig for orig, _ in layer}
+        remaining = [t for t in remaining if t not in done]
+    return bf
 
 
 def terminating_runs(variant, count, seed, step_cap=60):
