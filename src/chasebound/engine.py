@@ -4,7 +4,7 @@ A Derivation is an immutable value: ``extend`` returns a new one, so search
 procedures can branch freely without copying state by hand.  Atom ranks are
 fixed at first production; depth is the maximal atom rank, so a datalog step
 whose products already exist never increases depth.  The factbase is an
-``IndexedAtoms``: ``extend`` inserts the step's new atoms into the parent's
+``IndexedAtoms``: ``extend`` appends the step's new atoms to the parent's
 per-predicate and argument-position indexes, so homomorphism searches against
 it never re-index, and the restricted chase's check looks only at the atoms
 that share a frozen frontier image.  ``extend`` also files each new atom under
@@ -290,11 +290,6 @@ class Derivation:
 
     # -- construction ------------------------------------------------------
 
-    def produced_preview(self, trigger: Trigger) -> frozenset:
-        rule = self._rule(trigger)
-        head = safe_extension(trigger, rule, self.variant).apply(rule.head)
-        return head - self.factbase
-
     def extend(self, trigger: Trigger, check: bool = True) -> "Derivation":
         """Append one immediate derivation step.
 
@@ -390,22 +385,20 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
             for t in _triggers(rule, images)]
 
 
-def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int,
-                   everything: bool = False) -> list[Trigger]:
+def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int) -> list[Trigger]:
     """The unapplied triggers of rank ``kappa``, sorted by trigger_sort_key.
 
-    For o/so/r (unless ``everything``) only those applicable on ``d``: by
-    monotonicity the others never become applicable as ``d`` grows, so a pass
-    over a rank opened on ``d`` would skip them anyway.  Callers still check
-    each one when they pick it.  The so and r conditions depend on the
-    frontier image alone, so ``_frontier_open`` runs once per distinct
-    frontier image, before any trigger is built.  The equivalent chase keeps
-    every unapplied trigger: its triggers can wake up again.
+    For o/so/r only those applicable on ``d``: by monotonicity the others
+    never become applicable as ``d`` grows, so a pass over a rank opened on
+    ``d`` would skip them anyway.  Callers still check each one when they
+    pick it.  The so and r conditions depend on the frontier image alone, so
+    ``_frontier_open`` runs once per distinct frontier image, before any
+    trigger is built.  The equivalent chase keeps every unapplied trigger:
+    its triggers can wake up again.
     """
-    filtered = not everything and variant is not ChaseVariant.EQUIVALENT
     out: list[Trigger] = []
     for rule, images in _rank_images(d, kappa):
-        if not filtered or variant is ChaseVariant.OBLIVIOUS:
+        if variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.EQUIVALENT):
             # Being applied is all that makes an o trigger inapplicable.
             out += [t for t in _triggers(rule, images) if t not in d.applied]
             continue
@@ -541,26 +534,25 @@ def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple
     return ranked
 
 
-def _rank_candidates(variant: ChaseVariant, d: Derivation,
-                     everything: bool = False) -> tuple[Optional[int], list[Trigger]]:
+def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int], list[Trigger]]:
     """Smallest trigger rank with an applicable trigger left, together with
     that rank's ``_open_triggers`` on ``d``, sorted canonically: for o/so/r
-    the applicable ones, for the equivalent chase or with ``everything`` all
-    unapplied ones.  (None, []) when nothing is applicable at any rank.
+    the applicable ones, for the equivalent chase all unapplied ones.
+    (None, []) when nothing is applicable at any rank.
 
     ``d`` must be a breadth-first derivation whose last rank is exhausted.
     For o/so/r every lower rank then stays exhausted, so the only rank to look
     at is the last step's rank + 1; the equivalent chase looks at every rank.
     """
-    filtered = not everything and variant is not ChaseVariant.EQUIVALENT
-    if variant is ChaseVariant.EQUIVALENT:
-        ranks = range(1, d.depth() + 2)
-    else:
+    monotone = variant is not ChaseVariant.EQUIVALENT
+    if monotone:
         last = d.steps[-1].trigger_rank if d.steps else 0
         ranks = range(last + 1, last + 2)
+    else:
+        ranks = range(1, d.depth() + 2)
     for kappa in ranks:
-        group = _open_triggers(variant, d, kappa, everything)
-        if group if filtered else _next_applicable(variant, d, group) is not None:
+        group = _open_triggers(variant, d, kappa)
+        if group if monotone else _next_applicable(variant, d, group) is not None:
             return kappa, group
     return None, []
 
@@ -692,12 +684,13 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     rng = random.Random(seed) if policy == "random" else None
     d = Derivation.start(variant, kb)
     while True:
-        # The shuffle takes as many draws as the group has triggers, so a
-        # random run shuffles every unapplied trigger of the rank.
-        kappa, candidates = _rank_candidates(variant, d, everything=rng is not None)
+        kappa, candidates = _rank_candidates(variant, d)
         if kappa is None:
             return ChaseResult(d, HaltReason.TERMINATED)
         if rng is not None:
+            # The shuffle takes as many draws as the list has triggers, so a
+            # random run shuffles every unapplied trigger of the rank.
+            candidates = [t for t in rank_triggers(d, kappa) if t not in d.applied]
             rng.shuffle(candidates)
         # Applicability is re-evaluated before each application, since order
         # matters for R/E.  A skipped o/so/r candidate stays inapplicable, so
@@ -707,9 +700,10 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
         while i is not None:
             if len(d.steps) >= step_cap:
                 return ChaseResult(d, HaltReason.STEP_CAP)
-            if kappa > depth_cap and d.produced_preview(candidates[i]):
+            d2 = d.extend(candidates[i], check=False)
+            if kappa > depth_cap and d2.steps[-1].produced:
                 return ChaseResult(d, HaltReason.DEPTH_CAP)
-            d = d.extend(candidates[i], check=False)
+            d = d2
             i = _next_applicable(variant, d, candidates, i + 1)
 
 

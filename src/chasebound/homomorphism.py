@@ -9,20 +9,20 @@ and ``all_homomorphisms`` compile their source into one; the engine's rank
 join (``rules.BodyJoin``) and the restricted chase's check run on it too.
 Constants are always fixed; nulls and variables are movable unless frozen.
 
-Candidates come from a per-predicate index of the target, each list sorted by
-atom_sort_key.  An ``IndexedAtoms`` target carries that index with it and is
-searched as is; a chase derivation's factbase is one, grown step by step by
-sorted insertion of the new atoms only.  It also carries an argument-position
-index, (predicate, arity, position, term) -> the predicate's atoms with that
-term at that position, in the same order; a source atom with a fixed argument
-takes the shortest of these lists, so the restricted chase's check, whose
-frontier image is frozen, looks only at atoms that share it.  Any other
-target is indexed afresh by predicate on every call.
+Candidates come from a per-predicate index of the target.  An
+``IndexedAtoms`` target carries that index with it and is searched as is; a
+chase derivation's factbase is one, grown step by step by appending the new
+atoms only.  It also carries an argument-position index, (predicate, arity,
+position, term) -> the predicate's atoms with that term at that position; a
+source atom with a fixed argument takes the shortest of these lists, so the
+restricted chase's check, whose frontier image is frozen, looks only at atoms
+that share it.  Any other target is indexed afresh by predicate on every call.
+An index list is a search structure, not an output: what a search returns in
+an order (``all_homomorphisms``) is sorted on the way out.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import CanonicalBudgetError
@@ -32,7 +32,6 @@ from .terms import (
     Substitution,
     Term,
     Variable,
-    atom_sort_key,
     sorted_atoms,
     term_sort_key,
 )
@@ -59,14 +58,14 @@ def _build_index(atoms: Iterable[Atom], keys=_predicate_keys) -> dict[tuple, lis
     return index
 
 
-def _insort_all(lists: dict, keys: Iterable, a: Atom, grown: set) -> None:
-    """Insert ``a`` in sort order into ``lists[key]`` for each key, copying a
-    list shared with the parent instance the first time it grows."""
+def _append_all(lists: dict, keys: Iterable, a: Atom, grown: set) -> None:
+    """Append ``a`` to ``lists[key]`` for each key, copying a list shared
+    with the parent instance the first time it grows."""
     for key in keys:
         if key not in grown:
             lists[key] = list(lists.get(key, ()))
             grown.add(key)
-        bisect.insort(lists[key], a, key=atom_sort_key)
+        lists[key].append(a)
 
 
 class IndexedAtoms(frozenset):
@@ -91,16 +90,18 @@ class IndexedAtoms(frozenset):
 
     def with_atoms(self, new: frozenset) -> "IndexedAtoms":
         """This set plus ``new``; only the lists the new atoms fall in are
-        copied, and each new atom is inserted in sort order."""
+        copied, and the new atoms are appended to them in sort order, so the
+        lists, and the order a search visits them in, are the same in every
+        process."""
         new = new - self
         if not new:
             return self
         index = dict(self.index)
         positions = dict(self.positions)
         grown: set = set()
-        for a in new:
-            _insort_all(index, _predicate_keys(a), a, grown)
-            _insort_all(positions, _position_keys(a), a, grown)
+        for a in sorted_atoms(new):
+            _append_all(index, _predicate_keys(a), a, grown)
+            _append_all(positions, _position_keys(a), a, grown)
         return IndexedAtoms(self | new, index, positions)
 
 

@@ -1,4 +1,4 @@
-"""Terms, atoms and substitutions: the ground vocabulary everything reduces to.
+"""Terms, atoms and substitutions: the ground vocabulary the other modules use.
 
 All types here are immutable values.  Constants, variables, nulls and atoms
 are interned (hash-consed): building one from the same parts returns the same

@@ -148,8 +148,8 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     variant = _enum(ChaseVariant, doc["variant"])
     if doc["naming_mode"] != _NAMING_MODE[variant]:
         raise ReplayFailureError(
-            f"naming mode {doc['naming_mode']!r} is not the default for variant "
-            f"{variant.value!r}")
+            f"naming mode {doc['naming_mode']!r} does not match variant "
+            f"{variant.value!r}, whose nulls are {_NAMING_MODE[variant]}-keyed")
     d = Derivation.start(variant, kb)
     # Every term of a valid trigger occurs in the factbase replayed so far, so
     # terms are looked up by their printed names, which replay assigns to each

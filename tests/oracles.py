@@ -49,6 +49,7 @@ from chasebound.engine import (
     HaltReason,
     _applicable_new_triggers,
     breadth_first_completion,
+    safe_extension,
     trigger_sort_key,
 )
 from chasebound.homomorphism import canonical_form
@@ -500,7 +501,8 @@ def oracle_run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
                              depth_cap: int = 1_000_000, step_cap: int = 1_000_000):
     """Breadth-first runner that takes each rank's candidates from
     ``oracle_rank_candidates`` and, after every application, rescans them
-    from the first for the next applicable one."""
+    from the first for the next applicable one.  It stops at the depth cap
+    before a step whose head, computed here, adds an atom to the factbase."""
     rng = random.Random(seed) if policy == "random" else None
     d = Derivation.start(variant, kb)
     while True:
@@ -516,8 +518,10 @@ def oracle_run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
                 break
             if len(d.steps) >= step_cap:
                 return d, HaltReason.STEP_CAP
-            if kappa > depth_cap and d.produced_preview(pick):
-                return d, HaltReason.DEPTH_CAP
+            if kappa > depth_cap:
+                rule = d.ruleset[pick.rule_id]
+                if safe_extension(pick, rule, d.variant).apply(rule.head) - d.factbase:
+                    return d, HaltReason.DEPTH_CAP
             d = d.extend(pick, check=False)
 
 

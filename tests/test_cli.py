@@ -152,6 +152,20 @@ def test_two_parallel_chains_run_to_depth_1000(tmp_path):
     assert (bottom(first), bottom(second)) == (Constant("alice"), Constant("bob"))
     assert max(second._key, first._key) is second._key  # ``>`` loops too
 
+    # The deep trace round-trips: it verifies, and so does its restriction to
+    # alice's chain, whose 1000 steps the completion needs nothing added to.
+    restricted = tmp_path / "alice.json"
+    code, out, _ = run_cli(["restrict", "--trace", str(trace), "--keep", "human(alice)",
+                            "--complete", "--out", str(restricted)])
+    assert code == 0
+    assert "retained_steps: 1000\n" in out and "completed_steps: 1000\n" in out
+    for path in (trace, restricted):
+        code, out, _ = run_cli(["verify", "--trace", str(path)])
+        assert code == 1
+        for line in ("valid_variant_derivation: true", "rank_compatible: true",
+                     "rank_exhaustive: true", "terminating: false"):
+            assert line + "\n" in out, (path.name, line)
+
 
 def test_kbounded_witness_bytes_do_not_depend_on_jobs(tmp_path):
     paths = [tmp_path / "w1.json", tmp_path / "w2.json"]
@@ -420,8 +434,8 @@ def test_verify_unparsable_substitution_term_is_replay_failure(kb_file, tmp_path
 
 
 def test_verify_trace_with_foreign_naming_mode_is_replay_failure(tmp_path):
-    # Nulls are named by the variant's default naming mode; a trace claiming
-    # another one does not replay, even when (datalog) it names no null.
+    # The variant fixes how nulls are keyed; a trace claiming another naming
+    # mode does not replay, even when (datalog) it names no null.
     def frontier(doc):
         assert doc["variant"] == "r" and doc["naming_mode"] == "trigger"
         doc["naming_mode"] = "frontier"
