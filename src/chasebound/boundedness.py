@@ -10,7 +10,10 @@ b^(k+1); the larger ("safe") bound is the default.
 
 from __future__ import annotations
 
+import copy
 import itertools
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -23,6 +26,7 @@ from .engine import (
     verify_derivation,
 )
 from .errors import (
+    BudgetExceededError,
     ChaseError,
     InternalVerificationError,
     VariantUnsupportedError,
@@ -107,70 +111,72 @@ def default_pool_size(rs: RuleSet, max_atoms: int) -> int:
     return max_atoms * body_arity
 
 
+def _cells(rs: RuleSet, max_atoms: int) -> list[tuple[int, int]]:
+    sizes = range(1, max_atoms + 1) if rs.body_predicates else ()
+    return [(0, 0)] + [(n, m) for n in sizes
+                       for m in range(default_pool_size(rs, n) + 1)]
+
+
+def cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget) -> Iterator[frozenset]:
+    """The representative factbases of ``n`` atoms with exactly ``m`` generic
+    constants, one per isomorphism class fixing the rule constants.
+
+    Candidates are sorted atom tuples, generated in lexicographic order, whose
+    generic constants first appear in term order (restricted growth, as in
+    orderly generation); canonical form drops the isomorphic duplicates that
+    still get through.  A class's first candidate, its lexicographic minimum,
+    has restricted growth, so the pruning skips no class and keeps its
+    representative.  A canonical form fixes n and m, so no class spans cells.
+    """
+    if n == 0:
+        yield frozenset()
+        return
+    consts = sorted(rs.rule_constants, key=term_sort_key)
+    arities = rs.arities()
+    body_arity = max(arities[p] for p in rs.body_predicates)
+    generics = sorted(generic_pool(rs, m), key=term_sort_key)
+    order = {c: i for i, c in enumerate(generics)}
+    universe = _body_atom_universe(rs, consts + generics)
+    # Per atom, the term-order ranks of its generic arguments, left to right.
+    ranks = [tuple(order[t] for t in a.args if t in order) for a in universe]
+    seen: set[bytes] = set()
+
+    def emit(start: int, chosen: list[Atom], used: int) -> Iterator[frozenset]:
+        # ``generics[:used]`` occur in ``chosen``, and no other generic.
+        budget.spend_step()
+        if len(chosen) == n:
+            if used == m:
+                yield frozenset(chosen)
+            return
+        if m - used > (n - len(chosen)) * body_arity:
+            return
+        for i in range(start, len(universe)):
+            grown = used
+            for r in ranks[i]:
+                if r == grown:
+                    grown += 1
+                elif r > grown:
+                    break
+            else:
+                yield from emit(i + 1, chosen + [universe[i]], grown)
+
+    for candidate in emit(0, [], 0):
+        key = canonical_form(candidate, rs.rule_constants)
+        if key not in seen:
+            seen.add(key)
+            budget.spend_item()
+            yield candidate
+
+
 def enumerate_representative_factbases(rs: RuleSet, max_atoms: int,
                                        budget: Optional[Budget] = None
                                        ) -> Iterator[frozenset]:
     """Every factbase of at most ``max_atoms`` atoms over the body predicates,
-    up to isomorphism fixing the rule constants, each class exactly once, in a
-    deterministic order (size-ascending).
-
-    Terms come from the rule constants plus a pool of generic constants large
-    enough for any factbase of that many atoms.  Candidates are sorted atom
-    tuples, generated in lexicographic order, whose generic constants first
-    appear in term order (restricted growth, as in orderly generation); the
-    isomorphic duplicates that still get through are dropped by canonical
-    form.  The first candidate of each class is its lexicographic minimum,
-    which always has restricted growth, so the pruning skips no class and
-    does not change its representative.
-    """
+    up to isomorphism fixing the rule constants, each class once: the empty
+    one, then ``cell_factbases`` for n ascending and m ascending within n."""
     budget = budget or Budget()
-    yield frozenset()
-    if max_atoms < 1 or not rs.body_predicates:
-        return
-    pool = generic_pool(rs, default_pool_size(rs, max_atoms))
-    consts = sorted(rs.rule_constants, key=term_sort_key)
-    fixed = frozenset(consts)
-    arities = rs.arities()
-    body_arity = max(arities[p] for p in rs.body_predicates)
-    seen: set[bytes] = set()
-
-    for n in range(1, max_atoms + 1):
-        for m in range(0, min(len(pool), n * body_arity) + 1):
-            generics = sorted(pool[:m], key=term_sort_key)
-            order = {c: i for i, c in enumerate(generics)}
-            universe = _body_atom_universe(rs, consts + generics)
-            # Per atom, the term-order ranks of its generic arguments, left
-            # to right.
-            ranks = [tuple(order[t] for t in a.args if t in order)
-                     for a in universe]
-
-            def emit(start: int, chosen: list[Atom], used: int
-                     ) -> Iterator[frozenset]:
-                # ``used``: the generics ``generics[:used]`` occur in
-                # ``chosen``, and no other.
-                budget.spend_step()
-                if len(chosen) == n:
-                    if used == m:
-                        yield frozenset(chosen)
-                    return
-                if m - used > (n - len(chosen)) * body_arity:
-                    return
-                for i in range(start, len(universe)):
-                    grown = used
-                    for r in ranks[i]:
-                        if r == grown:
-                            grown += 1
-                        elif r > grown:
-                            break
-                    else:
-                        yield from emit(i + 1, chosen + [universe[i]], grown)
-
-            for candidate in emit(0, [], 0):
-                key = canonical_form(candidate, fixed)
-                if key not in seen:
-                    seen.add(key)
-                    budget.spend_item()
-                    yield candidate
+    for n, m in _cells(rs, max_atoms):
+        yield from cell_factbases(rs, n, m, budget)
 
 
 # -- decision ------------------------------------------------------------------
@@ -227,32 +233,17 @@ def _verdict(q: BoundedQuery, witness: Optional[Witness],
     return BoundednessVerdict(witness is None, witness, len(counts), sum(counts))
 
 
-def _scan_chunk(args) -> tuple[Optional[Witness], list[int]]:
-    q, factbases = args
-    return _first_witness(q, factbases, q.budget())
+def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget) -> tuple:
+    return _first_witness(q, cell_factbases(q.ruleset, *cell, budget), budget)
 
 
-def _scan_batch(pool, q: BoundedQuery, batch: list[frozenset], jobs: int
-                ) -> tuple[Optional[Witness], list[int]]:
-    """``_first_witness`` over ``batch``, dealt round-robin to ``jobs`` chunks
-    of the pool."""
-    results = list(pool.map(_scan_chunk,
-                            [(q, batch[j::jobs]) for j in range(jobs)]))
-    # Chunk j holds factbases j, j + jobs, ...  Each chunk stops at or after
-    # the lowest witness index, so every factbase up to it was searched:
-    # report what a single job reports.
-    counts = [0] * len(batch)
-    hits = []
-    for j, (witness, chunk_counts) in enumerate(results):
-        searched = range(j, len(batch), jobs)[:len(chunk_counts)]
-        for i, n in zip(searched, chunk_counts):
-            counts[i] = n
-        if witness is not None:
-            hits.append((searched[-1], witness))
-    if not hits:
-        return None, counts
-    idx, witness = min(hits, key=lambda h: h[0])
-    return witness, counts[:idx + 1]
+def _scan_in_worker(task) -> Optional[tuple]:
+    """``_scan`` and the steps and items it spent, or None if it ran out."""
+    q, cell, budget = task
+    try:
+        return (*_scan(q, cell, budget), budget.steps, budget.items)
+    except BudgetExceededError:
+        return None
 
 
 def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
@@ -262,34 +253,33 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     new atom of rank k+1; the search stops at the first such atom, which is a
     certificate of depth >= k+1.  The witness is re-verified before returning.
 
-    With ``jobs`` > 1 the factbases go to that many worker processes in
-    batches, the first of ``64 * jobs`` factbases and each next one twice as
-    large; a batch is dealt round-robin to the workers, each chunk with its
-    own budget, and no batch follows one that holds a witness.  The first
-    witness by factbase index wins, so neither the verdict nor the counters
-    depend on scheduling.
+    Each (n, m) cell is scanned up to its first witness, here on the query's
+    budget or in up to ``jobs`` workers (one per cell and core at most) on
+    unspent copies of it.  Scans merge in cell order, adding each spend; a
+    cell whose scan ran out or whose spend would cross a cap is scanned again
+    here, so neither the report nor a step or factbase stop depends on jobs.
     """
     if jobs < 1:
         raise ChaseError("jobs must be >= 1")
     budget = q.budget()
-    factbases = enumerate_representative_factbases(q.ruleset, q.max_atoms, budget)
-    if jobs == 1:
-        return _verdict(q, *_first_witness(q, factbases, budget))
-    from concurrent.futures import ProcessPoolExecutor
-
-    size = 64 * jobs
-    batch = list(itertools.islice(factbases, size))
-    jobs = min(jobs, len(batch))
+    cells = _cells(q.ruleset, q.max_atoms)
+    jobs = min(jobs, len(cells), os.cpu_count() or 1)
+    pool = nullcontext()
+    scans = ((*_scan(q, cell, budget), 0, 0) for cell in cells)
+    if jobs > 1:
+        from multiprocessing import Pool
+        pool = Pool(jobs)
+        scans = pool.imap(_scan_in_worker, [(q, c, copy.copy(budget)) for c in cells])
     counts: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while batch:
-            witness, batch_counts = _scan_batch(pool, q, batch, jobs)
-            counts += batch_counts
+    with pool:
+        for cell, scan in zip(cells, scans):
+            if scan is None or not budget.charge(*scan[2:]):
+                scan = _scan(q, cell, budget)
+            witness, cell_counts = scan[:2]
+            counts += cell_counts
             if witness is not None:
-                return _verdict(q, witness, counts)
-            size *= 2
-            batch = list(itertools.islice(factbases, size))
-    return _verdict(q, None, counts)
+                break
+    return _verdict(q, witness, counts)
 
 
 def shrink_witness(factbase: frozenset, derivation: Derivation,

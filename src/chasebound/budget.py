@@ -47,3 +47,12 @@ class Budget:
             self._fail("items")
         if self.max_ms is not None and self.elapsed_ms > self.max_ms:
             self._fail("time")
+
+    def charge(self, steps: int, items: int) -> bool:
+        """Add work spent on a copy of this budget; False if it crosses a cap."""
+        steps, items = self.steps + steps, self.items + items
+        if (self.max_steps is not None and steps > self.max_steps
+                or self.max_items is not None and items > self.max_items):
+            return False
+        self.steps, self.items = steps, items
+        return True

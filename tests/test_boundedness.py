@@ -286,5 +286,34 @@ def test_parallel_jobs_agree():
         seq = check_k_bounded(BoundedQuery(rs, variant, 1))
         par = check_k_bounded(BoundedQuery(rs, variant, 1), jobs=2)
         assert seq.bounded == par.bounded
+        assert par.factbases_examined == seq.factbases_examined
+        assert par.derivations_examined == seq.derivations_examined
         if seq.witness:
             assert par.witness.factbase == seq.witness.factbase
+
+
+def test_worker_count_is_bounded_by_the_cores(monkeypatch):
+    import multiprocessing.process
+    import os
+
+    def no_start(process):
+        raise AssertionError("no worker process may start")
+
+    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 1)
+    seq = check_k_bounded(q)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    assert check_k_bounded(q, jobs=8) == seq
+
+
+def test_time_cap_stops_the_workers():
+    import multiprocessing
+    import time
+
+    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 2,
+                     max_ms=300)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        check_k_bounded(q, jobs=2)
+    assert time.monotonic() - start < 5.0
+    assert multiprocessing.active_children() == []

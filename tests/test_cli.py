@@ -202,6 +202,20 @@ def test_kbounded_budget_exit_3():
         "budget exceeded: steps limit reached after 41 steps / 7 items"
 
 
+@pytest.mark.parametrize("cap, last_line", [
+    (["--budget-steps", "40"], "steps limit reached after 41 steps / 7 items"),
+    (["--budget-steps", "500"], "steps limit reached after 501 steps / 47 items"),
+    (["--budget-factbases", "100"],
+     "items limit reached after 1038 steps / 101 items"),
+], ids=["steps-40", "steps-500", "factbases-100"])
+def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
+    for jobs in ("1", "2"):
+        code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+                                "--variant", "r", "--k", "1", "--jobs", jobs] + cap)
+        assert code == 3, jobs
+        assert err.splitlines()[-1] == "budget exceeded: " + last_line, jobs
+
+
 def test_kbounded_rejects_variant_e():
     code, _, _ = run_cli(["kbounded", "--rules", str(FIXTURES / "ex4.dlp"),
                           "--variant", "e", "--k", "1"])
@@ -324,14 +338,15 @@ def test_unexpected_exception_exits_4_without_traceback(kb_file):
 
 def test_importing_the_cli_leaves_the_process_pool_out():
     # Every command imports chasebound.cli; only ``kbounded --jobs N`` needs
-    # concurrent.futures, so only it pays for the import.
+    # a process pool, so only it pays for the import.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, chasebound.cli; print('concurrent.futures' in sys.modules)"],
+         "import sys, chasebound.cli\n"
+         "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[False, False]\n"
 
 
 def test_benchmark_tracer_installs_and_traces_the_cli():
