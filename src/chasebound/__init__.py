@@ -53,7 +53,6 @@ from .rules import (
     KnowledgeBase,
     Rule,
     RuleSet,
-    derive_rule_metadata,
     validate_kb,
 )
 from .terms import (

@@ -14,8 +14,7 @@ import copy
 import itertools
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .budget import Budget
 from .engine import (
@@ -36,24 +35,32 @@ from .rules import KnowledgeBase, RuleSet
 from .terms import Atom, Constant, atom_sort_key, term_sort_key
 
 
-@dataclass(frozen=True)
 class BoundedQuery:
-    ruleset: RuleSet
-    variant: ChaseVariant
-    k: int
-    witness_bound_mode: str = "safe"  # "paper" (b^k) | "safe" (b^(k+1))
-    max_ms: Optional[float] = None
-    max_search_steps: Optional[int] = None
-    max_factbases: Optional[int] = None
+    """One k-boundedness question with its budget caps, checked when built."""
 
-    def __post_init__(self):
-        if self.variant is ChaseVariant.EQUIVALENT:
+    __slots__ = ("ruleset", "variant", "k", "witness_bound_mode", "max_ms",
+                 "max_search_steps", "max_factbases")
+
+    def __init__(self, ruleset: RuleSet, variant: ChaseVariant, k: int,
+                 witness_bound_mode: str = "safe",  # "paper" (b^k) | "safe" (b^(k+1))
+                 max_ms: Optional[float] = None,
+                 max_search_steps: Optional[int] = None,
+                 max_factbases: Optional[int] = None):
+        if variant is ChaseVariant.EQUIVALENT:
             raise VariantUnsupportedError(
                 "k-boundedness of the equivalent chase is not decided here")
-        if self.k < 0:
+        if k < 0:
             raise ChaseError("k must be >= 0")
-        if self.witness_bound_mode not in ("paper", "safe"):
+        if witness_bound_mode not in ("paper", "safe"):
             raise ChaseError("witness_bound_mode must be 'paper' or 'safe'")
+        if any(cap is not None and cap < 0
+               for cap in (max_ms, max_search_steps, max_factbases)):
+            raise ChaseError("budget caps must be >= 0")
+        self.ruleset, self.variant, self.k = ruleset, variant, k
+        self.witness_bound_mode = witness_bound_mode
+        self.max_ms = max_ms
+        self.max_search_steps = max_search_steps
+        self.max_factbases = max_factbases
 
     @property
     def max_atoms(self) -> int:
@@ -65,8 +72,7 @@ class BoundedQuery:
                       max_items=self.max_factbases)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Self-certifying counterexample: replaying ``derivation`` from
     ``factbase`` reproduces an atom of rank k+1."""
 
@@ -76,8 +82,7 @@ class Witness:
     minimized_factbase: frozenset
 
 
-@dataclass(frozen=True)
-class BoundednessVerdict:
+class BoundednessVerdict(NamedTuple):
     bounded: bool
     witness: Optional[Witness]
     factbases_examined: int

@@ -48,9 +48,8 @@ print it by a derivation-local name instead (``Derivation.null_names``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .budget import Budget
 from .errors import (
@@ -84,8 +83,7 @@ class HaltReason(str, Enum):
     STEP_CAP = "step_cap"
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(NamedTuple):
     rule_id: str
     pi: Substitution
 
@@ -134,8 +132,7 @@ def show_atom(a: Atom, names: dict) -> str:
     return f"{a.predicate}({','.join(names.get(t) or str(t) for t in a.args)})"
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     trigger: Trigger
     produced: frozenset  # genuinely new atoms only (may be empty)
     resulting_factbase_size: int
@@ -385,20 +382,21 @@ def rank_triggers(d: Derivation, kappa: int) -> list[Trigger]:
             for t in _triggers(rule, images)]
 
 
-def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int) -> list[Trigger]:
+def _open_triggers(variant: ChaseVariant, d: Derivation, kappa: int,
+                   keep_all: bool = False) -> list[Trigger]:
     """The unapplied triggers of rank ``kappa``, sorted by trigger_sort_key.
 
-    For o/so/r only those applicable on ``d``: by monotonicity the others
-    never become applicable as ``d`` grows, so a pass over a rank opened on
-    ``d`` would skip them anyway.  Callers still check each one when they
-    pick it.  The so and r conditions depend on the frontier image alone, so
-    ``_frontier_open`` runs once per distinct frontier image, before any
-    trigger is built.  The equivalent chase keeps every unapplied trigger:
-    its triggers can wake up again.
+    For o/so/r only those applicable on ``d``, unless ``keep_all``: by
+    monotonicity the others never become applicable as ``d`` grows, so a
+    pass over a rank opened on ``d`` would skip them anyway.  Callers still
+    check each one when they pick it.  The so and r conditions depend on the
+    frontier image alone, so ``_frontier_open`` runs once per distinct
+    frontier image, before any trigger is built.  The equivalent chase keeps
+    every unapplied trigger: its triggers can wake up again.
     """
     out: list[Trigger] = []
     for rule, images in _rank_images(d, kappa):
-        if variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.EQUIVALENT):
+        if keep_all or variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.EQUIVALENT):
             # Being applied is all that makes an o trigger inapplicable.
             out += [t for t in _triggers(rule, images) if t not in d.applied]
             continue
@@ -506,8 +504,7 @@ def restrict(derivation: Derivation, keep: frozenset) -> Derivation:
     return out
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     is_valid_variant_derivation: bool
     is_rank_compatible: bool
     is_rank_exhaustive: bool
@@ -534,11 +531,11 @@ def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple
     return ranked
 
 
-def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int], list[Trigger]]:
+def _rank_candidates(variant: ChaseVariant, d: Derivation,
+                     keep_all: bool = False) -> tuple[Optional[int], list[Trigger]]:
     """Smallest trigger rank with an applicable trigger left, together with
-    that rank's ``_open_triggers`` on ``d``, sorted canonically: for o/so/r
-    the applicable ones, for the equivalent chase all unapplied ones.
-    (None, []) when nothing is applicable at any rank.
+    that rank's ``_open_triggers`` on ``d`` (with ``keep_all``), sorted
+    canonically.  (None, []) when nothing is applicable at any rank.
 
     ``d`` must be a breadth-first derivation whose last rank is exhausted.
     For o/so/r every lower rank then stays exhausted, so the only rank to look
@@ -551,8 +548,9 @@ def _rank_candidates(variant: ChaseVariant, d: Derivation) -> tuple[Optional[int
     else:
         ranks = range(1, d.depth() + 2)
     for kappa in ranks:
-        group = _open_triggers(variant, d, kappa)
-        if group if monotone else _next_applicable(variant, d, group) is not None:
+        group = _open_triggers(variant, d, kappa, keep_all)
+        if (group if monotone and not keep_all
+                else _next_applicable(variant, d, group) is not None):
             return kappa, group
     return None, []
 
@@ -662,8 +660,7 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
 # -- breadth-first runner and enumeration -----------------------------------
 
 
-@dataclass(frozen=True)
-class ChaseResult:
+class ChaseResult(NamedTuple):
     derivation: Derivation
     halt_reason: HaltReason
 
@@ -684,13 +681,12 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     rng = random.Random(seed) if policy == "random" else None
     d = Derivation.start(variant, kb)
     while True:
-        kappa, candidates = _rank_candidates(variant, d)
+        # The shuffle takes as many draws as the list has triggers, so a
+        # random run shuffles every unapplied trigger of the rank.
+        kappa, candidates = _rank_candidates(variant, d, keep_all=rng is not None)
         if kappa is None:
             return ChaseResult(d, HaltReason.TERMINATED)
         if rng is not None:
-            # The shuffle takes as many draws as the list has triggers, so a
-            # random run shuffles every unapplied trigger of the rank.
-            candidates = [t for t in rank_triggers(d, kappa) if t not in d.applied]
             rng.shuffle(candidates)
         # Applicability is re-evaluated before each application, since order
         # matters for R/E.  A skipped o/so/r candidate stays inapplicable, so

@@ -18,8 +18,7 @@ renamed apart after parsing by scoping every rule variable with its rule id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ChaseError
 from .rules import (
@@ -27,7 +26,6 @@ from .rules import (
     KnowledgeBase,
     Rule,
     RuleSet,
-    derive_rule_metadata,
     validate_kb,
 )
 from .terms import (
@@ -48,8 +46,7 @@ class ParseError(ChaseError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | PUNCT | NULLSTART | EOF
     text: str
     line: int
@@ -170,10 +167,9 @@ class _Parser:
         return atoms
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     kb: Optional[KnowledgeBase]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: list[Diagnostic]
 
     @property
     def ok(self) -> bool:
@@ -234,8 +230,7 @@ def parse_kb(text: str) -> ParseResult:
             rid = f"R{auto}"
             used_ids.add(rid)
         try:
-            rules.append(derive_rule_metadata(rid, _scope_rule(rid, body),
-                                              _scope_rule(rid, head)))
+            rules.append(Rule(rid, _scope_rule(rid, body), _scope_rule(rid, head)))
         except ChaseError as exc:
             diagnostics.append(Diagnostic("error", str(exc), start.line, start.column))
             return ParseResult(None, diagnostics)

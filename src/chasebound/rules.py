@@ -1,16 +1,14 @@
 """Existential rules, rulesets and knowledge bases with derived metadata.
 
-Each rule's body is compiled once into the homomorphism matcher
-(``Rule.join``, a ``homomorphism.Join``), together with the head templates
-and frontier slots the engine's so and r checks read.
+Each rule compiles its own body once, when it is built, into the
+homomorphism matcher (``Rule.join``, a ``homomorphism.Join``), together with
+the head templates and frontier slots the engine's so and r checks read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ChaseError, EmptyBodyError, EmptyHeadError
 from .homomorphism import Join
@@ -26,18 +24,42 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
 class Rule:
-    """A rule (B, H); frontier and existential variables are derived fields."""
+    """A rule (B, H).  Building one checks it, derives the frontier
+    vars(B) ∩ vars(H) (``frontier_order`` sorts it by name; frontier keys rely
+    on that order), the existentials vars(H) \\ vars(B) and vars(B), and
+    compiles the body once as ``join``.  Equality, hashing and pickles use
+    the id, body and head alone, so unpickling compiles the join again."""
 
-    rule_id: str
-    body: frozenset
-    head: frozenset
-    frontier: frozenset
-    existentials: frozenset
-    # Fixed ordering of the frontier (sorted by name); frontier keys rely on it.
-    frontier_order: tuple[Variable, ...]
-    body_vars: frozenset = frozenset()
+    __slots__ = ("rule_id", "body", "head", "frontier", "existentials",
+                 "frontier_order", "body_vars", "join")
+
+    def __init__(self, rule_id: str, body: Iterable[Atom], head: Iterable[Atom]):
+        body = frozenset(body)
+        head = frozenset(head)
+        if not body:
+            raise EmptyBodyError(f"rule {rule_id}: empty body")
+        if not head:
+            raise EmptyHeadError(f"rule {rule_id}: empty head")
+        if nulls_of(body) or nulls_of(head):
+            raise ChaseError(f"rule {rule_id}: rules must not contain nulls")
+        self.rule_id, self.body, self.head = rule_id, body, head
+        self.body_vars = variables_of(body)
+        head_vars = variables_of(head)
+        self.frontier = self.body_vars & head_vars
+        self.existentials = head_vars - self.body_vars
+        self.frontier_order = tuple(sorted(self.frontier, key=lambda v: v.name))
+        self.join = BodyJoin(self)
+
+    def __reduce__(self):
+        return (Rule, (self.rule_id, self.body, self.head))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Rule) and (self.rule_id, self.body, self.head) == \
+            (other.rule_id, other.body, other.head)
+
+    def __hash__(self) -> int:
+        return hash((self.rule_id, self.body, self.head))
 
     @property
     def is_datalog(self) -> bool:
@@ -49,9 +71,8 @@ class Rule:
         h = ", ".join(str(a) for a in sorted_atoms(self.head))
         return f"[{self.rule_id}] {b} -> {h}."
 
-    @cached_property
-    def join(self) -> "BodyJoin":
-        return BodyJoin(self)
+    def __repr__(self) -> str:
+        return f"Rule({self})"
 
 
 class BodyJoin(Join):
@@ -83,25 +104,6 @@ class BodyJoin(Join):
         if len(frontier) < 2:
             frontier = [slice(frontier[0], frontier[0] + 1) if frontier else slice(0)]
         self.frontier_image = itemgetter(*frontier)
-
-
-def derive_rule_metadata(rule_id: str, body: Iterable[Atom], head: Iterable[Atom]) -> Rule:
-    """Build a Rule, computing frontier = vars(B) ∩ vars(H) and
-    existentials = vars(H) \\ vars(B)."""
-    body = frozenset(body)
-    head = frozenset(head)
-    if not body:
-        raise EmptyBodyError(f"rule {rule_id}: empty body")
-    if not head:
-        raise EmptyHeadError(f"rule {rule_id}: empty head")
-    if nulls_of(body) or nulls_of(head):
-        raise ChaseError(f"rule {rule_id}: rules must not contain nulls")
-    body_vars = variables_of(body)
-    head_vars = variables_of(head)
-    frontier = body_vars & head_vars
-    existentials = head_vars - body_vars
-    order = tuple(sorted(frontier, key=lambda v: v.name))
-    return Rule(rule_id, body, head, frontier, existentials, order, body_vars)
 
 
 class RuleSet:
@@ -143,14 +145,12 @@ class RuleSet:
         return seen
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     factbase: frozenset
     ruleset: RuleSet
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "info"
     message: str
     line: Optional[int] = None

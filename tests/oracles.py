@@ -21,13 +21,13 @@ from chasebound import (
     Derivation,
     KnowledgeBase,
     Null,
+    Rule,
     RuleSet,
     Substitution,
     Term,
     UnknownTriggerError,
     Variable,
     VerifyReport,
-    derive_rule_metadata,
     deserialize_trace,
     enumerate_triggers,
     find_homomorphism,
@@ -266,7 +266,7 @@ def random_kb(rng: random.Random, max_rules: int = 3, max_body: int = 2,
         body = {rand_atom(body_pool) for _ in range(rng.randint(1, max_body))}
         head_pool = variables + _CONSTS[:2]
         head = {rand_atom(head_pool) for _ in range(rng.randint(1, 2))}
-        rules.append(derive_rule_metadata(rule_id, body, head))
+        rules.append(Rule(rule_id, body, head))
 
     # Ground an instantiation of the first rule's body so the KB is never
     # inert; pad with random facts up to the initial-size limit.
@@ -290,7 +290,7 @@ def random_datalog_kb(rng: random.Random) -> KnowledgeBase:
         fixes = {v: rng.choice(pool)
                  for v in sorted(rule.existentials, key=lambda v: v.name)}
         head = Substitution(fixes).apply(rule.head)
-        rules.append(derive_rule_metadata(rule.rule_id, rule.body, head))
+        rules.append(Rule(rule.rule_id, rule.body, head))
     return KnowledgeBase(kb.factbase, RuleSet(rules))
 
 
@@ -305,7 +305,7 @@ def random_single_rule_set(rng: random.Random) -> RuleSet:
 
     body = {rand_atom(variables[:3]) for _ in range(rng.randint(1, 2))}
     head = {rand_atom(variables)}
-    return RuleSet([derive_rule_metadata("G1", body, head)])
+    return RuleSet([Rule("G1", body, head)])
 
 
 def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,

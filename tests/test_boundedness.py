@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+import re
 
 import pytest
 
@@ -7,17 +9,20 @@ from chasebound import (
     BoundedQuery,
     ChaseVariant,
     Constant,
+    Derivation,
+    KnowledgeBase,
     RuleSet,
     atom,
     check_k_bounded,
     enumerate_representative_factbases,
     parse_kb,
+    rank_triggers,
     shrink_witness,
     verify_derivation,
 )
 from chasebound.boundedness import search_factbase
 from chasebound.budget import Budget
-from chasebound.errors import BudgetExceededError, VariantUnsupportedError
+from chasebound.errors import BudgetExceededError, ChaseError, VariantUnsupportedError
 
 from conftest import EXAMPLE_SOURCES, load_example
 from oracles import is_isomorphic, oracle_check_k_bounded
@@ -30,6 +35,32 @@ def test_equivalent_variant_rejected():
     rs = load_example("ex4").ruleset
     with pytest.raises(VariantUnsupportedError):
         BoundedQuery(rs, V.EQUIVALENT, 1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(k=-1), "k must be >= 0"),
+    (dict(witness_bound_mode="tight"), "witness_bound_mode must be 'paper' or 'safe'"),
+    (dict(max_ms=-1), "budget caps must be >= 0"),
+    (dict(max_search_steps=-1), "budget caps must be >= 0"),
+    (dict(max_factbases=-1), "budget caps must be >= 0"),
+], ids=["k", "mode", "ms", "steps", "factbases"])
+def test_query_rejects_bad_parameters(kwargs, message):
+    args = dict(ruleset=load_example("ex4").ruleset, variant=V.RESTRICTED, k=1)
+    with pytest.raises(ChaseError, match=f"^{re.escape(message)}$"):
+        BoundedQuery(**{**args, **kwargs})
+
+
+def test_query_survives_pickling():
+    # Worker processes get the query pickled; its rules compile their joins
+    # again there and must find the same triggers.
+    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 1, max_factbases=9)
+    again = pickle.loads(pickle.dumps(q))
+    assert again.ruleset.rules == q.ruleset.rules
+    assert (again.variant, again.k, again.max_factbases) == (V.RESTRICTED, 1, 9)
+    fb = frozenset({atom("p", a, b), atom("p", b, a)})
+    triggers = [rank_triggers(Derivation.start(V.RESTRICTED, KnowledgeBase(fb, rs)), 1)
+                for rs in (q.ruleset, again.ruleset)]
+    assert triggers[0] == triggers[1] != []
 
 
 # -- representative factbases ---------------------------------------------------

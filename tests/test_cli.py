@@ -207,13 +207,22 @@ def test_kbounded_budget_exit_3():
     (["--budget-steps", "500"], "steps limit reached after 501 steps / 47 items"),
     (["--budget-factbases", "100"],
      "items limit reached after 1038 steps / 101 items"),
-], ids=["steps-40", "steps-500", "factbases-100"])
+    (["--budget-factbases", "0"], "items limit reached after 4 steps / 1 items"),
+], ids=["steps-40", "steps-500", "factbases-100", "factbases-0"])
 def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
     for jobs in ("1", "2"):
         code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
                                 "--variant", "r", "--k", "1", "--jobs", jobs] + cap)
         assert code == 3, jobs
         assert err.splitlines()[-1] == "budget exceeded: " + last_line, jobs
+
+
+@pytest.mark.parametrize("flag", ["--budget-ms", "--budget-steps", "--budget-factbases"])
+def test_kbounded_negative_budget_cap_is_usage_error(flag):
+    code, out, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+                              "--variant", "r", "--k", "1", flag, "-1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: budget caps must be >= 0"
 
 
 def test_kbounded_rejects_variant_e():
@@ -338,15 +347,21 @@ def test_unexpected_exception_exits_4_without_traceback(kb_file):
 
 def test_importing_the_cli_leaves_the_process_pool_out():
     # Every command imports chasebound.cli; only ``kbounded --jobs N`` needs
-    # a process pool, so only it pays for the import.
+    # a process pool, so only it pays for the import.  The records are named
+    # tuples and plain classes, so no command pays for ``dataclasses`` and the
+    # ``inspect`` it loads.  Only what the import adds counts: the
+    # interpreter's start-up may have loaded some of these already.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, chasebound.cli\n"
-         "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])"],
+         "import sys\n"
+         "before = set(sys.modules)\n"
+         "import chasebound.cli\n"
+         "print([m for m in ('concurrent.futures', 'dataclasses', 'inspect',\n"
+         "                   'multiprocessing') if m in set(sys.modules) - before])"],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False]\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_benchmark_tracer_installs_and_traces_the_cli():

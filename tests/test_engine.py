@@ -4,11 +4,11 @@ from chasebound import (
     ChaseVariant,
     Constant,
     Derivation,
+    Rule,
     Substitution,
     Trigger,
     Variable,
     atom,
-    derive_rule_metadata,
     enumerate_triggers,
     is_applicable,
     safe_extension,
@@ -45,7 +45,7 @@ def test_safe_extension_trigger_key_serialization():
     # A trigger-keyed null records the whole body substitution, sorted by
     # variable name; a frontier-keyed one records the frontier image.
     x, y, z = Variable("x"), Variable("y"), Variable("z")
-    rule = derive_rule_metadata("R1", {atom("p", y, x)}, {atom("p", x, z)})
+    rule = Rule("R1", {atom("p", y, x)}, {atom("p", x, z)})
     t = Trigger("R1", Substitution({x: a, y: b}))
     n = safe_extension(t, rule, V.OBLIVIOUS).apply_term(z)
     assert (n.label, n.rule_id, n.exvar, n.frontier, n.inner, n.depth) == \

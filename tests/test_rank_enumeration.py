@@ -16,8 +16,8 @@ from chasebound import (
     Derivation,
     HaltReason,
     KnowledgeBase,
+    Rule,
     RuleSet,
-    derive_rule_metadata,
     enumerate_triggers,
     is_applicable,
     parse_atom,
@@ -27,6 +27,7 @@ from chasebound import (
     serialize_trace,
     verify_derivation,
 )
+from chasebound import engine
 from chasebound.engine import _applicable, _rank_candidates, frontier_image
 from chasebound.terms import sorted_atoms
 
@@ -99,7 +100,7 @@ def random_order_runs(seed, count=25, step_cap=30):
 
 
 def _rule(rule_id, body, head):
-    return derive_rule_metadata(rule_id, map(parse_atom, body), map(parse_atom, head))
+    return Rule(rule_id, map(parse_atom, body), map(parse_atom, head))
 
 
 # Join edge cases: a repeated variable inside one atom (J1), a body constant
@@ -200,6 +201,9 @@ def test_rank_candidates_match_oracle_at_rank_boundaries():
                 if kappa is not None:
                     assert [t for t in rank_triggers(d, kappa) if t not in d.applied] == \
                         group, (i, variant, n)
+                # A random run shuffles all of them.
+                assert _rank_candidates(variant, d, keep_all=True) == (kappa, group), \
+                    (i, variant, n)
                 # For o/so/r the engine drops what is not applicable when the
                 # rank opens: by monotonicity it never becomes applicable.  An
                 # equivalent-chase trigger can wake up, so e keeps them all.
@@ -238,6 +242,19 @@ def test_runner_matches_rescan_oracle():
                                                    depth_cap=3, step_cap=20)
                 assert serialize_trace(res.derivation, res.halt_reason) == \
                     serialize_trace(d, halt), (i, variant, policy)
+
+
+def test_random_policy_joins_each_rank_once(monkeypatch):
+    # The shuffled list is the rank's one join, as the det run's list is.
+    kb = parse_kb("human(alice). human(bob). human(X) -> parent(Y,X), human(Y).").kb
+    rank_images = engine._rank_images
+    calls = {}
+    for policy in ("det", "random"):
+        ranks = calls[policy] = []
+        monkeypatch.setattr(engine, "_rank_images",
+                            lambda d, kappa: ranks.append(kappa) or rank_images(d, kappa))
+        run_breadth_first(V.RESTRICTED, kb, policy, seed=7, step_cap=60)
+    assert calls["det"] == calls["random"] != []
 
 
 def mutations(rng, derivation):

@@ -5,16 +5,16 @@ from chasebound import (
     Constant,
     KnowledgeBase,
     Null,
+    Rule,
     RuleSet,
     Variable,
     atom,
-    derive_rule_metadata,
     find_homomorphism,
     parse_kb,
     run_breadth_first,
     validate_kb,
 )
-from chasebound.errors import EmptyBodyError, EmptyHeadError
+from chasebound.errors import ChaseError, EmptyBodyError, EmptyHeadError
 
 from conftest import load_example
 
@@ -23,36 +23,45 @@ x, y, z = Variable("x"), Variable("y"), Variable("z")
 
 def test_frontier_and_existentials():
     # p(x,y) -> p(y,z), p(z,y): frontier {y}, existential {z}
-    r = derive_rule_metadata("r", {atom("p", x, y)},
-                             {atom("p", y, z), atom("p", z, y)})
+    r = Rule("r", {atom("p", x, y)}, {atom("p", y, z), atom("p", z, y)})
     assert r.frontier == {y}
     assert r.existentials == {z}
 
     # p(x,y) -> p(y,y): frontier {y}, datalog
-    r2 = derive_rule_metadata("r2", {atom("p", x, y)}, {atom("p", y, y)})
+    r2 = Rule("r2", {atom("p", x, y)}, {atom("p", y, y)})
     assert r2.frontier == {y}
     assert r2.existentials == frozenset()
     assert r2.is_datalog
 
     # identity rule: frontier is everything
-    r3 = derive_rule_metadata("r3", {atom("p", x, y)}, {atom("p", x, y)})
+    r3 = Rule("r3", {atom("p", x, y)}, {atom("p", x, y)})
     assert r3.frontier == {x, y}
     assert r3.existentials == frozenset()
 
 
 def test_frontier_subset_of_body_and_head_partition():
-    r = derive_rule_metadata("r", {atom("p", x, y)},
-                             {atom("p", y, z), atom("p", z, y)})
+    r = Rule("r", {atom("p", x, y)}, {atom("p", y, z), atom("p", z, y)})
     head_vars = {t for a in r.head for t in a.args if isinstance(t, Variable)}
     assert r.frontier | r.existentials == head_vars
     assert r.frontier <= r.body_vars
 
 
 def test_empty_parts_rejected():
-    with pytest.raises(EmptyBodyError):
-        derive_rule_metadata("r", set(), {atom("p", x, x)})
-    with pytest.raises(EmptyHeadError):
-        derive_rule_metadata("r", {atom("p", x, x)}, set())
+    with pytest.raises(EmptyBodyError, match="^rule r: empty body$"):
+        Rule("r", set(), {atom("p", x, x)})
+    with pytest.raises(EmptyHeadError, match="^rule r: empty head$"):
+        Rule("r", {atom("p", x, x)}, set())
+    with pytest.raises(ChaseError, match="^rule r: rules must not contain nulls$"):
+        Rule("r", {atom("p", x, Null("w"))}, {atom("q", x)})
+
+
+def test_rules_are_values_of_id_body_and_head():
+    first, second = (load_example("ex3_pair").ruleset for _ in range(2))
+    assert first.rules == second.rules
+    assert list(map(hash, first)) == list(map(hash, second))
+    tc = first["tc"]
+    assert tc is not second["tc"] and tc.join is not second["tc"].join
+    assert Rule("other", tc.body, tc.head) != tc
 
 
 def test_ruleset_stats_on_examples():
@@ -82,7 +91,7 @@ def test_validate_clean_kb():
 
 
 def test_validate_arity_conflict():
-    rs = RuleSet([derive_rule_metadata("r", {atom("p", x)}, {atom("q", x)})])
+    rs = RuleSet([Rule("r", {atom("p", x)}, {atom("q", x)})])
     kb = KnowledgeBase(frozenset({atom("p", Constant("a"), Constant("b"))}), rs)
     diags = validate_kb(kb)
     assert any(d.severity == "error" and "arity" in d.message for d in diags)
