@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import itertools
 import os
-from contextlib import nullcontext
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .budget import Budget
@@ -242,9 +241,24 @@ def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget) -> tuple:
     return _first_witness(q, cell_factbases(q.ruleset, *cell, budget), budget)
 
 
+_stop = None  # in a ``--jobs`` worker: the parent's stop flag, an Event
+
+
+def _start_worker(stop) -> None:
+    # Ctrl-C is the parent's to take: it sets the stop flag.
+    import signal
+    global _stop
+    _stop = stop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def _scan_in_worker(task) -> Optional[tuple]:
-    """``_scan`` and the steps and items it spent, or None if it ran out."""
+    """``_scan`` and the steps and items it spent, or None if it ran out or
+    the parent set the stop flag, which the budget polls too."""
     q, cell, budget = task
+    if _stop.is_set():
+        return None
+    budget.stop = _stop
     try:
         return (*_scan(q, cell, budget), budget.steps, budget.items)
     except BudgetExceededError:
@@ -263,27 +277,36 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     unspent copies of it.  Scans merge in cell order, adding each spend; a
     cell whose scan ran out or whose spend would cross a cap is scanned again
     here, so neither the report nor a step or factbase stop depends on jobs.
+    Such a scan ends the run, so the workers' stop flag is set before it, as
+    it is when the run ends; the workers are then waited for, never killed.
     """
     if jobs < 1:
         raise ChaseError("jobs must be >= 1")
     budget = q.budget()
     cells = _cells(q.ruleset, q.max_atoms)
     jobs = min(jobs, len(cells), os.cpu_count() or 1)
-    pool = nullcontext()
     scans = ((*_scan(q, cell, budget), 0, 0) for cell in cells)
+    pool = stop = None
     if jobs > 1:
-        from multiprocessing import Pool
-        pool = Pool(jobs)
+        from multiprocessing import Event, Pool
+        stop = Event()
+        pool = Pool(jobs, initializer=_start_worker, initargs=(stop,))
         scans = pool.imap(_scan_in_worker, [(q, c, copy.copy(budget)) for c in cells])
     counts: list[int] = []
-    with pool:
+    try:
         for cell, scan in zip(cells, scans):
             if scan is None or not budget.charge(*scan[2:]):
+                stop.set()  # only a worker's scan is scanned again
                 scan = _scan(q, cell, budget)
             witness, cell_counts = scan[:2]
             counts += cell_counts
             if witness is not None:
                 break
+    finally:
+        if pool is not None:
+            stop.set()
+            pool.close()
+            pool.join()
     return _verdict(q, witness, counts)
 
 

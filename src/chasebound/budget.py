@@ -23,6 +23,7 @@ class Budget:
         self.steps = 0
         self.items = 0
         self._start = time.monotonic()
+        self.stop = None  # an Event shared with another process; set, it fails the next poll
 
     @property
     def elapsed_ms(self) -> float:
@@ -33,20 +34,25 @@ class Budget:
             f"{what} limit reached after {self.steps} steps / {self.items} items",
             steps=self.steps, items=self.items, elapsed_ms=self.elapsed_ms)
 
-    def spend_step(self, n: int = 1) -> None:
-        self.steps += n
-        if self.max_steps is not None and self.steps > self.max_steps:
-            self._fail("steps")
-        # Time is polled here as well so long step-free stretches cannot stall.
-        if self.max_ms is not None and self.steps % 64 == 0 and self.elapsed_ms > self.max_ms:
-            self._fail("time")
-
-    def spend_item(self, n: int = 1) -> None:
-        self.items += n
-        if self.max_items is not None and self.items > self.max_items:
-            self._fail("items")
+    def _poll(self) -> None:
         if self.max_ms is not None and self.elapsed_ms > self.max_ms:
             self._fail("time")
+        if self.stop is not None and self.stop.is_set():
+            self._fail("stop")
+
+    def spend_step(self) -> None:
+        self.steps += 1
+        if self.max_steps is not None and self.steps > self.max_steps:
+            self._fail("steps")
+        # Polled here as well so long item-free stretches cannot stall.
+        if self.steps % 64 == 0:
+            self._poll()
+
+    def spend_item(self) -> None:
+        self.items += 1
+        if self.max_items is not None and self.items > self.max_items:
+            self._fail("items")
+        self._poll()
 
     def charge(self, steps: int, items: int) -> bool:
         """Add work spent on a copy of this budget; False if it crosses a cap."""

@@ -4,11 +4,12 @@ A Derivation is an immutable value: ``extend`` returns a new one, so search
 procedures can branch freely without copying state by hand.  Atom ranks are
 fixed at first production; depth is the maximal atom rank, so a datalog step
 whose products already exist never increases depth.  The factbase is an
-``IndexedAtoms``: ``extend`` appends the step's new atoms to the parent's
-per-predicate and argument-position indexes, so homomorphism searches against
-it never re-index, and the restricted chase's check looks only at the atoms
-that share a frozen frontier image.  ``extend`` also files each new atom under
-(predicate, rank) and carries the depth along.
+``IndexedAtoms``, whose one index files each atom by predicate, by
+(predicate, rank) and by argument position: ``extend`` appends the step's new
+atoms to the parent's lists at their rank, so homomorphism searches against
+it never re-index, the restricted chase's check looks only at the atoms that
+share a frozen frontier image, and the rank join reads the rank lists.
+``extend`` also carries the depth along.
 
 A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
 rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
@@ -60,14 +61,9 @@ from .errors import (
     UnknownTriggerError,
     VariantUnsupportedError,
 )
-from .homomorphism import (
-    IndexedAtoms,
-    all_homomorphisms,
-    find_homomorphism,
-    predicate_key,
-)
+from .homomorphism import IndexedAtoms, all_homomorphisms, find_homomorphism
 from .rules import KnowledgeBase, Rule, RuleSet
-from .terms import Atom, Null, Substitution, sorted_atoms
+from .terms import Atom, Null, Substitution
 
 
 class ChaseVariant(str, Enum):
@@ -75,6 +71,11 @@ class ChaseVariant(str, Enum):
     SEMI_OBLIVIOUS = "so"
     RESTRICTED = "r"
     EQUIVALENT = "e"
+
+
+# What keys each variant's generated nulls (``safe_extension``), as traces record it.
+NAMING_MODE = {v: "frontier" if v is ChaseVariant.SEMI_OBLIVIOUS else "trigger"
+               for v in ChaseVariant}
 
 
 class HaltReason(str, Enum):
@@ -106,7 +107,7 @@ def safe_extension(trigger: Trigger, rule: Rule, variant: ChaseVariant) -> Subst
     variable: its substitution is returned as it is."""
     if rule.is_datalog:
         return trigger.pi
-    frontier = variant is ChaseVariant.SEMI_OBLIVIOUS
+    frontier = NAMING_MODE[variant] == "frontier"
     if frontier:
         inner = frontier_image(rule, trigger.pi)
     else:
@@ -146,26 +147,23 @@ class Derivation:
     step that produced it, so its rank is that step's trigger rank and its
     direct ancestors are that trigger's body image; initial atoms have rank 0
     and no ancestors.  Nulls are keyed by the variant (``safe_extension``).
-    The factbase, the atoms by (predicate, rank), the depth, the applied
-    triggers and the frontier images seen are kept as indexes for trigger
-    enumeration and the applicability checks.
+    The factbase (indexed by predicate, rank and argument position), the
+    depth, the applied triggers and the frontier images seen are kept as
+    indexes for trigger enumeration and the applicability checks.
     """
 
     __slots__ = ("variant", "ruleset", "initial", "steps", "factbase",
-                 "_step_of", "_by_rank", "_depth", "applied", "_frontier_seen",
-                 "_null_names")
+                 "_step_of", "_depth", "applied", "_frontier_seen", "_null_names")
 
     def __init__(self, variant: ChaseVariant, ruleset: RuleSet, initial: frozenset,
-                 steps: tuple, factbase: IndexedAtoms, step_of: dict,
-                 by_rank: dict, depth: int, applied: frozenset,
-                 frontier_seen: frozenset):
+                 steps: tuple, factbase: IndexedAtoms, step_of: dict, depth: int,
+                 applied: frozenset, frontier_seen: frozenset):
         self.variant = variant
         self.ruleset = ruleset
         self.initial = initial
         self.steps = steps
         self.factbase = factbase
         self._step_of = step_of
-        self._by_rank = by_rank  # ((predicate, arity), rank) -> atoms; shared lists
         self._depth = depth
         self.applied = applied
         self._frontier_seen = frontier_seen
@@ -174,9 +172,7 @@ class Derivation:
     @classmethod
     def start(cls, variant: ChaseVariant, kb: KnowledgeBase) -> "Derivation":
         initial = frozenset(kb.factbase)
-        factbase = IndexedAtoms(initial)
-        by_rank = {(key, 0): atoms for key, atoms in factbase.index.items()}
-        return cls(variant, kb.ruleset, initial, (), factbase, {}, by_rank, 0,
+        return cls(variant, kb.ruleset, initial, (), IndexedAtoms(initial), {}, 0,
                    frozenset(), frozenset())
 
     # -- queries ----------------------------------------------------------
@@ -303,19 +299,15 @@ class Derivation:
         head = safe_extension(trigger, rule, self.variant).apply(rule.head)
         produced = frozenset(head - self.factbase)
         trank = 1 + max(map(self.atom_rank, body_image))
-        factbase = self.factbase.with_atoms(produced)
+        factbase = self.factbase.with_atoms(produced, trank)
         step = DerivationStep(trigger, produced, len(factbase), trank)
         step_of = dict(self._step_of)
         step_of.update(dict.fromkeys(produced, step))
-        by_rank = dict(self._by_rank)
-        for a in sorted_atoms(produced):
-            key = (predicate_key(a), trank)
-            by_rank[key] = by_rank.get(key, []) + [a]
         depth = max(self._depth, trank) if produced else self._depth
         frontier_seen = self._frontier_seen | {
             (rule.rule_id, frontier_image(rule, trigger.pi))}
         return Derivation(self.variant, self.ruleset, self.initial,
-                          self.steps + (step,), factbase, step_of, by_rank, depth,
+                          self.steps + (step,), factbase, step_of, depth,
                           self.applied | {trigger}, frontier_seen)
 
 
@@ -344,15 +336,15 @@ def _rank_images(d: Derivation, kappa: int) -> Iterator[tuple[Rule, list[tuple]]
     predicate's whole bucket is its list of atoms of rank < r.
     """
     last = kappa - 1
-    by_rank = d._by_rank
+    index = d.factbase.index
     built: dict = {}
 
     def below(key: tuple[str, int], r: int) -> list:
         # The atoms of one predicate with rank < r.
         if r > d._depth:
-            return d.factbase.index.get(key, [])
+            return index.get(key, [])
         if (key, r) not in built:
-            built[key, r] = [a for q in range(r) for a in by_rank.get((key, q), ())]
+            built[key, r] = [a for q in range(r) for a in index.get((key, q), ())]
         return built[key, r]
 
     for rule in d.ruleset:
@@ -360,7 +352,7 @@ def _rank_images(d: Derivation, kappa: int) -> Iterator[tuple[Rule, list[tuple]]
         keys = join.keys
         images: list[tuple] = []
         for i, key in enumerate(keys):
-            delta = by_rank.get((key, last))
+            delta = index.get((key, last))
             if delta:
                 join.matches([below(k, last) for k in keys[:i]] + [delta] +
                              [below(k, kappa) for k in keys[i + 1:]], images)

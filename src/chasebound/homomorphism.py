@@ -9,21 +9,22 @@ and ``all_homomorphisms`` compile their source into one; the engine's rank
 join (``rules.BodyJoin``) and the restricted chase's check run on it too.
 Constants are always fixed; nulls and variables are movable unless frozen.
 
-Candidates come from a per-predicate index of the target.  An
-``IndexedAtoms`` target carries that index with it and is searched as is; a
-chase derivation's factbase is one, grown step by step by appending the new
-atoms only.  It also carries an argument-position index, (predicate, arity,
-position, term) -> the predicate's atoms with that term at that position; a
-source atom with a fixed argument takes the shortest of these lists, so the
-restricted chase's check, whose frontier image is frozen, looks only at atoms
-that share it.  Any other target is indexed afresh by predicate on every call.
-An index list is a search structure, not an output: what a search returns in
-an order (``all_homomorphisms``) is sorted on the way out.
+Candidates come from the target's one index, an ``IndexedAtoms``: each atom
+is filed under (predicate, arity), under ((predicate, arity), rank) and under
+(predicate, arity, position, term) for each argument.  A source atom takes
+the shortest of its predicate's list and the position lists of its fixed
+arguments, so the restricted chase's check, whose frontier image is frozen,
+looks only at atoms that share it.  A chase derivation's factbase is one,
+grown step by step by appending the new atoms at their rank only, and the
+engine's rank join reads the rank lists; any other target is indexed afresh
+(at rank 0) on every call.  An index list is a search structure, not an
+output: what a search returns in an order (``all_homomorphisms``) is sorted
+on the way out.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CanonicalBudgetError
 from .terms import (
@@ -40,69 +41,48 @@ def predicate_key(a: Atom) -> tuple[str, int]:
     return a.predicate, len(a.args)
 
 
-def _predicate_keys(a: Atom) -> tuple:
-    return (predicate_key(a),)
-
-
-def _position_keys(a: Atom) -> Iterator[tuple]:
-    return ((a.predicate, len(a.args), i, t) for i, t in enumerate(a.args))
-
-
-def _build_index(atoms: Iterable[Atom], keys=_predicate_keys) -> dict[tuple, list[Atom]]:
-    """Each key of ``keys(a)`` -> the atoms filed under it, sorted by
-    atom_sort_key: by default (predicate, arity) -> that predicate's atoms."""
-    index: dict[tuple, list[Atom]] = {}
+def _file(index: dict, atoms: Iterable[Atom], rank: int) -> dict:
+    """``index`` with ``atoms`` appended in sort order, each under (predicate,
+    arity), ((predicate, arity), rank) and, per argument, (predicate, arity,
+    position, term); a list is copied the first time it grows, so the lists
+    shared with the parent instance stay as they are."""
+    grown: set = set()
     for a in sorted_atoms(atoms):
-        for key in keys(a):
-            index.setdefault(key, []).append(a)
+        key = predicate_key(a)
+        for k in [key, (key, rank)] + [(*key, i, t) for i, t in enumerate(a.args)]:
+            if k not in grown:
+                index[k] = list(index.get(k, ()))
+                grown.add(k)
+            index[k].append(a)
     return index
 
 
-def _append_all(lists: dict, keys: Iterable, a: Atom, grown: set) -> None:
-    """Append ``a`` to ``lists[key]`` for each key, copying a list shared
-    with the parent instance the first time it grows."""
-    for key in keys:
-        if key not in grown:
-            lists[key] = list(lists.get(key, ()))
-            grown.add(key)
-        lists[key].append(a)
-
-
 class IndexedAtoms(frozenset):
-    """A frozenset of atoms carrying its per-predicate and argument-position
-    indexes.
+    """A frozenset of atoms carrying one index: each atom is filed by
+    predicate, by (predicate, rank) and by argument position (``_file``).
 
-    Set operators return plain frozensets (and ``frozenset(x)`` copies one
-    without the indexes); ``with_atoms`` is the way to grow an instance while
-    keeping it indexed.  The index lists are shared between instances and
-    must not be mutated.
+    The constructor files its atoms at rank 0.  Set operators return plain
+    frozensets (and ``frozenset(x)`` copies one without the index);
+    ``with_atoms`` is the way to grow an instance while keeping it indexed.
+    The index lists are shared between instances and must not be mutated.
     """
 
-    __slots__ = ("index", "positions")
+    __slots__ = ("index",)
 
-    def __new__(cls, atoms: Iterable[Atom] = (), index: Optional[dict] = None,
-                positions: Optional[dict] = None):
+    def __new__(cls, atoms: Iterable[Atom] = (), index: Optional[dict] = None):
         self = super().__new__(cls, atoms)
-        self.index = _build_index(self) if index is None else index
-        self.positions = _build_index(self, _position_keys) if positions is None \
-            else positions
+        self.index = _file({}, self, 0) if index is None else index
         return self
 
-    def with_atoms(self, new: frozenset) -> "IndexedAtoms":
-        """This set plus ``new``; only the lists the new atoms fall in are
-        copied, and the new atoms are appended to them in sort order, so the
-        lists, and the order a search visits them in, are the same in every
-        process."""
+    def with_atoms(self, new: frozenset, rank: int) -> "IndexedAtoms":
+        """This set plus ``new``, filed at ``rank``; only the lists the new
+        atoms fall in are copied, and the new atoms are appended to them in
+        sort order, so the lists, and the order a search visits them in, are
+        the same in every process."""
         new = new - self
         if not new:
             return self
-        index = dict(self.index)
-        positions = dict(self.positions)
-        grown: set = set()
-        for a in sorted_atoms(new):
-            _append_all(index, _predicate_keys(a), a, grown)
-            _append_all(positions, _position_keys(a), a, grown)
-        return IndexedAtoms(self | new, index, positions)
+        return IndexedAtoms(self | new, _file(dict(self.index), new, rank))
 
 
 def _is_frozen(term: Term, frozen: frozenset) -> bool:
@@ -207,17 +187,15 @@ def _join(plan: tuple, depth: int, lists: Sequence[Sequence[Atom]], slots: list,
 
 
 def _target_lists(join: Join, target: frozenset, frozen: frozenset) -> list:
-    """Each source atom's candidate target atoms: its predicate's bucket, or
-    on an ``IndexedAtoms`` target the shortest of that bucket and the
-    position lists of its fixed arguments."""
+    """Each source atom's candidate target atoms: the shortest of its
+    predicate's list and the position lists of its fixed arguments."""
     if not isinstance(target, IndexedAtoms):
-        index = _build_index(target)
-        return [index.get(key, ()) for key in join.keys]
-    index, positions = target.index, target.positions
-    return [min([index.get(predicate_key(a), ())] +
-                [positions.get(key, ()) for key in _position_keys(a)
-                 if _is_frozen(key[3], frozen)], key=len)
-            for a in join.atoms]
+        target = IndexedAtoms(target)
+    index = target.index
+    return [min([index.get(key, ())] +
+                [index.get((*key, i, t), ()) for i, t in enumerate(a.args)
+                 if _is_frozen(t, frozen)], key=len)
+            for key, a in zip(join.keys, join.atoms)]
 
 
 def _homomorphisms(source: frozenset, target: frozenset, frozen: frozenset,

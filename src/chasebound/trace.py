@@ -20,6 +20,7 @@ import json
 from typing import Optional
 
 from .engine import (
+    NAMING_MODE,
     ChaseVariant,
     Derivation,
     HaltReason,
@@ -33,9 +34,6 @@ from .rules import KnowledgeBase
 from .terms import Substitution, Variable, sorted_atoms
 
 TRACE_FORMAT_VERSION = 2
-# How each variant keys its generated nulls (``engine.safe_extension``).
-_NAMING_MODE = {v: "frontier" if v is ChaseVariant.SEMI_OBLIVIOUS else "trigger"
-                for v in ChaseVariant}
 
 
 def trace_document(derivation: Derivation,
@@ -44,7 +42,7 @@ def trace_document(derivation: Derivation,
     doc = {
         "format_version": TRACE_FORMAT_VERSION,
         "variant": derivation.variant.value,
-        "naming_mode": _NAMING_MODE[derivation.variant],
+        "naming_mode": NAMING_MODE[derivation.variant],
         "halt_reason": halt_reason.value if halt_reason else None,
         "rules": [str(r) for r in derivation.ruleset],
         "initial": [str(a) for a in sorted_atoms(derivation.initial)],
@@ -146,10 +144,10 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     _check_shape(doc)
     kb = _parse_ruleset_and_initial(doc)
     variant = _enum(ChaseVariant, doc["variant"])
-    if doc["naming_mode"] != _NAMING_MODE[variant]:
+    if doc["naming_mode"] != NAMING_MODE[variant]:
         raise ReplayFailureError(
             f"naming mode {doc['naming_mode']!r} does not match variant "
-            f"{variant.value!r}, whose nulls are {_NAMING_MODE[variant]}-keyed")
+            f"{variant.value!r}, whose nulls are {NAMING_MODE[variant]}-keyed")
     d = Derivation.start(variant, kb)
     # Every term of a valid trigger occurs in the factbase replayed so far, so
     # terms are looked up by their printed names, which replay assigns to each

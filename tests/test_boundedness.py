@@ -348,3 +348,29 @@ def test_time_cap_stops_the_workers():
         check_k_bounded(q, jobs=2)
     assert time.monotonic() - start < 5.0
     assert multiprocessing.active_children() == []
+
+
+def test_leaving_the_pool_kills_no_worker(monkeypatch):
+    # Killing a worker can leave a queue lock held, and terminate() then
+    # hangs; the pool is left by stopping the workers and joining them.
+    import multiprocessing
+    import multiprocessing.pool
+
+    def no_terminate(pool):
+        raise AssertionError("Pool.terminate() called")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", no_terminate)
+    q = BoundedQuery(load_example("ex3_single").ruleset, V.RESTRICTED, 1)
+    seq, par = check_k_bounded(q), check_k_bounded(q, jobs=2)
+    assert not seq.bounded and par._replace(witness=None) == seq._replace(witness=None)
+    assert par.witness._replace(derivation=None) == seq.witness._replace(derivation=None)
+    assert par.witness.derivation.triggers() == seq.witness.derivation.triggers()
+    assert multiprocessing.active_children() == []
+
+    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 1,
+                     max_factbases=100)
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExceededError) as stop:
+            check_k_bounded(q, jobs=jobs)
+        assert str(stop.value) == "items limit reached after 1038 steps / 101 items"
+    assert multiprocessing.active_children() == []
