@@ -165,7 +165,7 @@ def cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget) -> Iterator[froz
                 yield from emit(i + 1, chosen + [universe[i]], grown)
 
     for candidate in emit(0, [], 0):
-        key = canonical_form(candidate, rs.rule_constants)
+        key = canonical_form(candidate, rs.rule_constants, budget)
         if key not in seen:
             seen.add(key)
             budget.spend_item()
@@ -241,24 +241,25 @@ def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget) -> tuple:
     return _first_witness(q, cell_factbases(q.ruleset, *cell, budget), budget)
 
 
-_stop = None  # in a ``--jobs`` worker: the parent's stop flag, an Event
+_worker = None  # in a ``--jobs`` worker: the query and an unspent budget with the stop flag
 
 
-def _start_worker(stop) -> None:
+def _start_worker(q: BoundedQuery, budget: Budget, stop) -> None:
     # Ctrl-C is the parent's to take: it sets the stop flag.
     import signal
-    global _stop
-    _stop = stop
+    global _worker
+    budget.stop = stop
+    _worker = q, budget
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def _scan_in_worker(task) -> Optional[tuple]:
-    """``_scan`` and the steps and items it spent, or None if it ran out or
-    the parent set the stop flag, which the budget polls too."""
-    q, cell, budget = task
-    if _stop.is_set():
+def _scan_in_worker(cell: tuple[int, int]) -> Optional[tuple]:
+    """``_scan`` on a copy of the unspent budget and what it spent, or None if
+    it ran out or the parent set the stop flag, which the budget polls too."""
+    q, unspent = _worker
+    if unspent.stop.is_set():
         return None
-    budget.stop = _stop
+    budget = copy.copy(unspent)
     try:
         return (*_scan(q, cell, budget), budget.steps, budget.items)
     except BudgetExceededError:
@@ -290,8 +291,8 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     if jobs > 1:
         from multiprocessing import Event, Pool
         stop = Event()
-        pool = Pool(jobs, initializer=_start_worker, initargs=(stop,))
-        scans = pool.imap(_scan_in_worker, [(q, c, copy.copy(budget)) for c in cells])
+        pool = Pool(jobs, initializer=_start_worker, initargs=(q, copy.copy(budget), stop))
+        scans = pool.imap(_scan_in_worker, cells)
     counts: list[int] = []
     try:
         for cell, scan in zip(cells, scans):

@@ -3,7 +3,7 @@
 Exit codes: 0 success / bounded / terminated; 1 expected negative result
 (not bounded, cap reached, verification report with violations); 2 usage or
 parse error; 3 budget exceeded; 4 internal verification failure or any
-other unexpected exception.
+other unexpected exception; 130 interrupted (Ctrl-C, SIGINT).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 
 
 def _load_kb(path: str, err):
@@ -226,6 +227,9 @@ def cli(argv: Optional[list[str]] = None, out=None, err=None) -> int:
         # Any other exception is a bug; report it by type, without a traceback.
         print(f"internal error: {type(exc).__name__}: {exc}", file=err)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("interrupted", file=err)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

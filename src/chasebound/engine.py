@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .budget import Budget
 from .errors import (
@@ -512,11 +512,15 @@ class VerifyReport(NamedTuple):
                 and self.is_rank_exhaustive and self.is_terminating)
 
 
-def _applicable_new_triggers(variant: ChaseVariant, d: Derivation) -> list[tuple[int, Trigger]]:
-    """Every unapplied applicable trigger of any rank, with its rank, in
-    trigger_sort_key order (the order of ``enumerate_triggers``)."""
-    ranked = [(kappa, t) for kappa in range(1, d.depth() + 2)
-              for t in _open_triggers(variant, d, kappa)]
+def _applicable_new_triggers(variant: ChaseVariant, d: Derivation,
+                             ranks: Optional[Iterable[int]] = None
+                             ) -> list[tuple[int, Trigger]]:
+    """Every unapplied applicable trigger of ``ranks`` (by default, of any
+    rank), with its rank, in trigger_sort_key order (the order of
+    ``enumerate_triggers``)."""
+    if ranks is None:
+        ranks = range(1, d.depth() + 2)
+    ranked = [(kappa, t) for kappa in ranks for t in _open_triggers(variant, d, kappa)]
     if variant is ChaseVariant.EQUIVALENT:
         ranked = [(kappa, t) for kappa, t in ranked if _applicable(variant, d, t)]
     ranked.sort(key=lambda p: trigger_sort_key(d.ruleset, p[1]))
@@ -562,24 +566,17 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
     monotone = variant is not ChaseVariant.EQUIVALENT
     applicability: list[str] = []
     ordering: Optional[str] = None
-    exhaustion: Optional[str] = None
-    exhausted_at: Optional[int] = None
+    exhaustion: Optional[tuple] = None  # boundary() at the first violated one
     ranks: list[int] = []
 
-    def check_boundary(prefix: Derivation, step_no: int) -> None:
-        nonlocal exhaustion, exhausted_at
+    def boundary(prefix: Derivation, step_no: int) -> Optional[tuple]:
+        # (step_no, k, rank, trigger): the first trigger of a rank other than
+        # k + 1 still applicable after step ``step_no``, the last of rank k.
         k = ranks[-1]
-        if monotone and ordering is None:
-            violator = next(((k, t) for t in _open_triggers(variant, prefix, k)), None)
-        else:
-            violator = next(((rank, t) for rank, t in _applicable_new_triggers(variant, prefix)
-                             if rank != k + 1), None)
-        if violator is not None:
-            rank, t = violator
-            exhaustion = (f"after step {step_no} (last of rank {k}): trigger "
-                          f"{derivation.show(t)} of "
-                          f"rank {rank} is still {variant.value}-applicable")
-            exhausted_at = k
+        scan = [k] if monotone and ordering is None else None
+        return next(((step_no, k, rank, t) for rank, t
+                     in _applicable_new_triggers(variant, prefix, scan)
+                     if rank != k + 1), None)
 
     replay = Derivation.start(derivation.variant,
                               KnowledgeBase(derivation.initial, derivation.ruleset))
@@ -596,21 +593,23 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
         prefix, replay = replay, replay.extend(step.trigger, check=False)
         rank = replay.steps[-1].trigger_rank
         if ranks and rank != ranks[-1] and exhaustion is None:
-            check_boundary(prefix, i)
+            exhaustion = boundary(prefix, i)
         if ranks and rank < ranks[-1] and ordering is None:
             ordering = f"step {i + 1}: trigger rank {rank} after rank {ranks[-1]}"
         ranks.append(rank)
     if ranks and exhaustion is None:
-        check_boundary(replay, len(ranks))
+        exhaustion = boundary(replay, len(ranks))
 
-    if monotone and ordering is None:
-        last = ranks[-1] if ranks else 0
-        start = exhausted_at if exhausted_at is not None else last + 1
-        terminating = not any(_open_triggers(variant, replay, kappa)
-                              for kappa in range(start, last + 2))
-    else:
-        terminating = not _applicable_new_triggers(variant, replay)
-    violations = applicability + [v for v in (ordering, exhaustion) if v]
+    last = ranks[-1] if ranks else 0
+    start = exhaustion[1] if exhaustion else last + 1
+    terminating = not _applicable_new_triggers(
+        variant, replay, range(start, last + 2) if monotone and ordering is None else None)
+    violations = applicability + ([ordering] if ordering else [])
+    if exhaustion:
+        step_no, k, rank, t = exhaustion
+        violations.append(f"after step {step_no} (last of rank {k}): trigger "
+                          f"{derivation.show(t)} of rank {rank} is still "
+                          f"{variant.value}-applicable")
     return VerifyReport(not applicability, ordering is None, exhaustion is None,
                         terminating, violations[0] if violations else None)
 

@@ -50,10 +50,6 @@ class BudgetExceededError(ChaseError):
         self.elapsed_ms = elapsed_ms
 
 
-class CanonicalBudgetError(BudgetExceededError):
-    """Relabeling search for a canonical form exceeded its configured budget."""
-
-
 class VersionMismatchError(ChaseError):
     pass
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .errors import CanonicalBudgetError
+from .budget import Budget
 from .terms import (
     Atom,
     Constant,
@@ -245,7 +245,7 @@ def _label_line(a: Atom, labels: dict[Term, str], counters: list[int]) -> str:
 
 
 def canonical_form(atoms: frozenset, fixed: frozenset = frozenset(),
-                   max_nodes: int = 500_000) -> bytes:
+                   budget: Optional[Budget] = None) -> bytes:
     """Canonical byte encoding, equal for two sets iff they are isomorphic by
     a renaming that is the identity on ``fixed``.
 
@@ -253,8 +253,8 @@ def canonical_form(atoms: frozenset, fixed: frozenset = frozenset(),
     first-appearance labeling of non-fixed terms makes the result independent
     of the original names.  Constants not listed in ``fixed`` are treated as
     generic labels (renameable within their kind), which is what the
-    representative-factbase enumeration needs.  Raises CanonicalBudgetError
-    when the ordering search exceeds ``max_nodes`` visited nodes.
+    representative-factbase enumeration needs.  Each node of the ordering
+    search spends a step of ``budget`` (BudgetExceededError when it runs out).
     """
     # Fixed constants keep their names; every other term is labelled on
     # first appearance.
@@ -263,15 +263,12 @@ def canonical_form(atoms: frozenset, fixed: frozenset = frozenset(),
     if not atoms_list:
         return b"<empty>"
 
+    budget = budget or Budget()
     best: list[Optional[tuple[str, ...]]] = [None]
-    nodes = [0]
 
     def extend(prefix: tuple[str, ...], remaining: list[Atom],
                labels: dict[Term, str], counters: list[int]) -> None:
-        nodes[0] += 1
-        if nodes[0] > max_nodes:
-            raise CanonicalBudgetError(
-                f"canonical_form exceeded {max_nodes} search nodes")
+        budget.spend_step()
         if best[0] is not None and prefix > best[0][:len(prefix)]:
             return
         if not remaining:

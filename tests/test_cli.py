@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from chasebound.cli import cli
-from chasebound.homomorphism import canonical_form
 from chasebound.terms import Constant, Null, term_sort_key
 from chasebound.trace import deserialize_trace
 
@@ -199,16 +198,17 @@ def test_kbounded_budget_exit_3():
                             "--budget-steps", "40"])
     assert code == 3
     assert err.splitlines()[-1] == \
-        "budget exceeded: steps limit reached after 41 steps / 7 items"
+        "budget exceeded: steps limit reached after 41 steps / 5 items"
 
 
 @pytest.mark.parametrize("cap, last_line", [
-    (["--budget-steps", "40"], "steps limit reached after 41 steps / 7 items"),
-    (["--budget-steps", "500"], "steps limit reached after 501 steps / 47 items"),
+    (["--budget-steps", "40"], "steps limit reached after 41 steps / 5 items"),
+    (["--budget-steps", "500"], "steps limit reached after 501 steps / 26 items"),
+    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 114 items"),
     (["--budget-factbases", "100"],
-     "items limit reached after 1038 steps / 101 items"),
-    (["--budget-factbases", "0"], "items limit reached after 4 steps / 1 items"),
-], ids=["steps-40", "steps-500", "factbases-100", "factbases-0"])
+     "items limit reached after 4469 steps / 101 items"),
+    (["--budget-factbases", "0"], "items limit reached after 6 steps / 1 items"),
+], ids=["steps-40", "steps-500", "steps-5000", "factbases-100", "factbases-0"])
 def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
     for jobs in ("1", "2"):
         code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
@@ -508,17 +508,45 @@ def test_run_kb_not_utf8_is_read_error(tmp_path):
     assert err.startswith(f"error: cannot read {kb}: ") and not out
 
 
-def test_kbounded_canonical_budget_exits_3(monkeypatch):
-    import chasebound.boundedness as boundedness
+def test_kbounded_canonical_budget_exits_3():
+    # --budget-steps counts every search node, canonical-form nodes included:
+    # the run takes 30,841 steps, of which 26,407 are canonical_form's.
+    argv = ["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+            "--variant", "r", "--k", "1", "--budget-steps"]
+    code, out, err = run_cli(argv + ["30840"])
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == \
+        "budget exceeded: steps limit reached after 30841 steps / 231 items"
+    code, out, _ = run_cli(argv + ["30841"])
+    assert code == 0 and "bounded: true" in out
 
-    def tiny(atoms, fixed=frozenset()):
-        return canonical_form(atoms, fixed, max_nodes=1)
 
-    monkeypatch.setattr(boundedness, "canonical_form", tiny)
-    code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
-                            "--variant", "r", "--k", "1"])
-    assert code == 3
-    assert "canonical_form exceeded 1 search nodes" in err
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_exits_130_without_traceback(jobs):
+    import signal
+    import time
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chasebound.cli", "kbounded",
+         "--rules", str(FIXTURES / "ex3_pair.dlp"), "--variant", "r", "--k", "2",
+         "--jobs", jobs],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    time.sleep(1.5)
+    os.killpg(proc.pid, signal.SIGINT)
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 130, err
+    assert err.splitlines()[-1] == "interrupted"
+    assert "Traceback" not in err
+    # The workers were joined before the command exited: its session is empty.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 @pytest.mark.parametrize("command", ["verify", "restrict"])

@@ -16,7 +16,8 @@ from chasebound import (
     canonical_form,
     find_homomorphism,
 )
-from chasebound.errors import CanonicalBudgetError
+from chasebound.budget import Budget
+from chasebound.errors import BudgetExceededError
 from chasebound.homomorphism import IndexedAtoms
 
 from oracles import (
@@ -225,11 +226,27 @@ def test_canonical_form_agrees_with_pairwise_isomorphism():
         assert not is_isomorphic(s1, s2, renameable=generic)
 
 
+def _cycle(n: int) -> frozenset:
+    consts = [Constant(f"d{i}") for i in range(n)]
+    return frozenset(Atom("p", (consts[i], consts[(i + 1) % n])) for i in range(n))
+
+
 def test_canonical_form_budget():
-    consts = [Constant(f"d{i}") for i in range(14)]
-    big = frozenset(Atom("p", (consts[i], consts[i + 1])) for i in range(13))
-    with pytest.raises(CanonicalBudgetError):
-        canonical_form(big, max_nodes=50)
+    # Every node of the ordering search spends a step of the caller's budget.
+    with pytest.raises(BudgetExceededError) as stop:
+        canonical_form(_cycle(9), budget=Budget(max_steps=50))
+    assert str(stop.value) == "steps limit reached after 51 steps / 0 items"
+
+
+def test_canonical_form_polls_the_stop_flag():
+    import threading
+
+    budget = Budget()
+    budget.stop = threading.Event()
+    budget.stop.set()
+    with pytest.raises(BudgetExceededError) as stop:
+        canonical_form(_cycle(9), budget=budget)
+    assert str(stop.value) == "stop limit reached after 64 steps / 0 items"
 
 
 def test_homomorphism_soundness_assertions_hold():
