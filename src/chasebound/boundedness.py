@@ -115,10 +115,12 @@ def default_pool_size(rs: RuleSet, max_atoms: int) -> int:
     return max_atoms * body_arity
 
 
-def _cells(rs: RuleSet, max_atoms: int) -> list[tuple[int, int]]:
-    sizes = range(1, max_atoms + 1) if rs.body_predicates else ()
-    return [(0, 0)] + [(n, m) for n in sizes
-                       for m in range(default_pool_size(rs, n) + 1)]
+def _cells(rs: RuleSet, max_atoms: int) -> Iterator[tuple[int, int]]:
+    # Generated as the scan reaches them: at large k they are far too many to hold.
+    yield 0, 0
+    for n in range(1, max_atoms + 1) if rs.body_predicates else ():
+        for m in range(default_pool_size(rs, n) + 1):
+            yield n, m
 
 
 def cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget) -> Iterator[frozenset]:
@@ -194,7 +196,7 @@ def search_factbase(variant: ChaseVariant, rs: RuleSet, k: int,
     kb = KnowledgeBase(factbase, rs)
     count = 0
     for d in enumerate_breadth_first_derivations(variant, kb, depth_target=k + 1,
-                                                 budget=budget, dedup_states=True):
+                                                 budget=budget):
         count += 1
         if d.depth() >= k + 1:
             step = d.steps[-1]
@@ -274,7 +276,7 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     certificate of depth >= k+1.  The witness is re-verified before returning.
 
     Each (n, m) cell is scanned up to its first witness, here on the query's
-    budget or in up to ``jobs`` workers (one per cell and core at most) on
+    budget or in up to ``jobs`` workers (one per core at most) on
     unspent copies of it.  Scans merge in cell order, adding each spend; a
     cell whose scan ran out or whose spend would cross a cap is scanned again
     here, so neither the report nor a step or factbase stop depends on jobs.
@@ -284,18 +286,20 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     if jobs < 1:
         raise ChaseError("jobs must be >= 1")
     budget = q.budget()
-    cells = _cells(q.ruleset, q.max_atoms)
-    jobs = min(jobs, len(cells), os.cpu_count() or 1)
-    scans = ((*_scan(q, cell, budget), 0, 0) for cell in cells)
+    jobs = min(jobs, os.cpu_count() or 1)
+    scans = ((*_scan(q, cell, budget), 0, 0) for cell in _cells(q.ruleset, q.max_atoms))
     pool = stop = None
     if jobs > 1:
         from multiprocessing import Event, Pool
         stop = Event()
         pool = Pool(jobs, initializer=_start_worker, initargs=(q, copy.copy(budget), stop))
-        scans = pool.imap(_scan_in_worker, cells)
+        # The pool's feeder thread hands out cells until the iterable ends, and
+        # ``join`` waits for it; so the feed ends once the stop flag is set.
+        scans = pool.imap(_scan_in_worker, itertools.takewhile(
+            lambda _: not stop.is_set(), _cells(q.ruleset, q.max_atoms)))
     counts: list[int] = []
     try:
-        for cell, scan in zip(cells, scans):
+        for cell, scan in zip(_cells(q.ruleset, q.max_atoms), scans):
             if scan is None or not budget.charge(*scan[2:]):
                 stop.set()  # only a worker's scan is scanned again
                 scan = _scan(q, cell, budget)

@@ -127,13 +127,7 @@ def _cmd_restrict(args, out, err) -> int:
     derivation = _load_trace(args.trace, out)
     if derivation is None:
         return EXIT_NEGATIVE
-    keep = frozenset(parse_atoms(args.keep))
-    unknown = keep - derivation.initial
-    if unknown:
-        names = ", ".join(str(a) for a in sorted(unknown, key=str))
-        print(f"error: atoms not in the initial factbase: {names}", file=err)
-        return EXIT_USAGE
-    restricted = restrict(derivation, keep)
+    restricted = restrict(derivation, parse_atoms(args.keep))
     result = restricted
     if args.complete:
         result = breadth_first_completion(derivation.variant, restricted)

@@ -487,8 +487,10 @@ def restrict(derivation: Derivation, keep: frozenset) -> Derivation:
     variant (heredity), for the equivalent chase it may not be.
     """
     keep = frozenset(keep)
-    if not keep <= derivation.initial:
-        raise KeepNotSubsetError("keep must be a subset of the initial factbase")
+    unknown = keep - derivation.initial
+    if unknown:
+        names = ", ".join(sorted(map(str, unknown)))
+        raise KeepNotSubsetError(f"atoms not in the initial factbase: {names}")
     out = Derivation.start(derivation.variant, KnowledgeBase(keep, derivation.ruleset))
     for step in derivation.steps:
         if out._body_image(step.trigger) <= out.factbase:
@@ -564,15 +566,15 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
     last rank + 1) upwards.  Other replays scan every trigger.
     """
     monotone = variant is not ChaseVariant.EQUIVALENT
-    applicability: list[str] = []
+    applicability: Optional[str] = None  # the first violation of each kind
     ordering: Optional[str] = None
     exhaustion: Optional[tuple] = None  # boundary() at the first violated one
-    ranks: list[int] = []
+    last = 0  # the last replayed step's rank; 0 before the first step
 
     def boundary(prefix: Derivation, step_no: int) -> Optional[tuple]:
         # (step_no, k, rank, trigger): the first trigger of a rank other than
         # k + 1 still applicable after step ``step_no``, the last of rank k.
-        k = ranks[-1]
+        k = last
         scan = [k] if monotone and ordering is None else None
         return next(((step_no, k, rank, t) for rank, t
                      in _applicable_new_triggers(variant, prefix, scan)
@@ -582,36 +584,33 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
                               KnowledgeBase(derivation.initial, derivation.ruleset))
     for i, step in enumerate(derivation.steps):
         try:
-            ok = is_applicable(variant, replay, step.trigger)
+            prefix, replay = replay, replay.extend(step.trigger, check=False)
         except UnknownTriggerError as exc:
             return VerifyReport(False, False, False, False,
                                 f"step {i + 1}: {exc}")
-        if not ok:
-            applicability.append(
-                f"step {i + 1}: trigger {derivation.show(step.trigger)} is not "
-                f"{variant.value}-applicable")
-        prefix, replay = replay, replay.extend(step.trigger, check=False)
+        if applicability is None and not _applicable(variant, prefix, step.trigger):
+            applicability = (f"step {i + 1}: trigger {derivation.show(step.trigger)} "
+                             f"is not {variant.value}-applicable")
         rank = replay.steps[-1].trigger_rank
-        if ranks and rank != ranks[-1] and exhaustion is None:
+        if last and rank != last and exhaustion is None:
             exhaustion = boundary(prefix, i)
-        if ranks and rank < ranks[-1] and ordering is None:
-            ordering = f"step {i + 1}: trigger rank {rank} after rank {ranks[-1]}"
-        ranks.append(rank)
-    if ranks and exhaustion is None:
-        exhaustion = boundary(replay, len(ranks))
+        if rank < last and ordering is None:
+            ordering = f"step {i + 1}: trigger rank {rank} after rank {last}"
+        last = rank
+    if last and exhaustion is None:
+        exhaustion = boundary(replay, len(derivation.steps))
 
-    last = ranks[-1] if ranks else 0
     start = exhaustion[1] if exhaustion else last + 1
     terminating = not _applicable_new_triggers(
         variant, replay, range(start, last + 2) if monotone and ordering is None else None)
-    violations = applicability + ([ordering] if ordering else [])
-    if exhaustion:
+    violation = applicability or ordering
+    if violation is None and exhaustion:
         step_no, k, rank, t = exhaustion
-        violations.append(f"after step {step_no} (last of rank {k}): trigger "
-                          f"{derivation.show(t)} of rank {rank} is still "
-                          f"{variant.value}-applicable")
-    return VerifyReport(not applicability, ordering is None, exhaustion is None,
-                        terminating, violations[0] if violations else None)
+        violation = (f"after step {step_no} (last of rank {k}): trigger "
+                     f"{derivation.show(t)} of rank {rank} is still "
+                     f"{variant.value}-applicable")
+    return VerifyReport(applicability is None, ordering is None, exhaustion is None,
+                        terminating, violation)
 
 
 def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> Derivation:
@@ -696,7 +695,7 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
 
 def enumerate_breadth_first_derivations(
         variant: ChaseVariant, kb: KnowledgeBase, depth_target: int,
-        budget: Optional[Budget] = None, dedup_states: bool = False) -> Iterator[Derivation]:
+        budget: Optional[Budget] = None) -> Iterator[Derivation]:
     """Depth-first search over per-rank trigger orderings.
 
     Yields each branch when it either terminates or creates a new atom of rank
@@ -705,7 +704,9 @@ def enumerate_breadth_first_derivations(
     factbase, so a single canonical order is explored; the same holds for the
     restricted chase on a datalog ruleset (every product of a rank's candidate
     ends up in the factbase whatever the order).  Otherwise all within-rank
-    orders are explored, optionally pruned by already-visited trigger sets.
+    orders are explored, pruned by already-visited sets of applied triggers.
+    A single order adds one trigger per step, so it never revisits a state
+    and keeps no such set.
     """
     if depth_target < 1:
         raise ChaseError("depth_target must be >= 1")
@@ -736,11 +737,10 @@ def enumerate_breadth_first_derivations(
             return
         for t, next_start in choices:
             d2 = d.extend(t, check=False)
-            if dedup_states:
-                key = d2.applied
-                if key in seen:
+            if branch_orders:
+                if d2.applied in seen:
                     continue
-                seen.add(key)
+                seen.add(d2.applied)
             if kappa is not None and kappa >= depth_target and d2.steps[-1].produced:
                 yield d2
             else:

@@ -525,6 +525,30 @@ def oracle_run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
             d = d.extend(pick, check=False)
 
 
+def oracle_breadth_first_derivations(variant: ChaseVariant, kb: KnowledgeBase,
+                                     depth_target: int):
+    """Every branch of the search over within-rank orders, unpruned: at each
+    step any applicable candidate of the current rank may go next, and a
+    branch ends when it terminates or creates an atom of rank
+    ``depth_target``.  Candidates come from ``oracle_rank_candidates``."""
+    def walk(d, kappa, candidates):
+        picks = [t for t in candidates if is_applicable(variant, d, t)]
+        if not picks:
+            kappa, candidates = oracle_rank_candidates(variant, d)
+            if kappa is None:
+                yield d
+            else:
+                yield from walk(d, kappa, candidates)
+        for t in picks:
+            d2 = d.extend(t, check=False)
+            if kappa >= depth_target and d2.steps[-1].produced:
+                yield d2
+            else:
+                yield from walk(d2, kappa, candidates)
+
+    yield from walk(Derivation.start(variant, kb), 0, [])
+
+
 def oracle_verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyReport:
     """Replay, then check every rank boundary and termination by full scans."""
     violations: list[str] = []

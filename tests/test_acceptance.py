@@ -257,8 +257,7 @@ def test_criterion_09_equivalent_chase_non_heredity():
         small = KnowledgeBase(keep, kb.ruleset)
         depths = set()
         for dd in enumerate_breadth_first_derivations(V.EQUIVALENT, small,
-                                                      depth_target=3,
-                                                      dedup_states=True):
+                                                      depth_target=3):
             assert verify_derivation(V.EQUIVALENT, dd).is_terminating
             depths.add(dd.depth())
         assert depths == {2}

@@ -20,7 +20,7 @@ from chasebound import (
     shrink_witness,
     verify_derivation,
 )
-from chasebound.boundedness import search_factbase
+from chasebound.boundedness import generic_pool, search_factbase
 from chasebound.budget import Budget
 from chasebound.errors import BudgetExceededError, ChaseError, VariantUnsupportedError
 
@@ -96,6 +96,22 @@ def test_rule_constants_are_never_relabeled():
                and a not in next(iter(fb)).args]
     assert qa in reps
     assert q_other
+
+
+def test_generic_names_skip_a_rule_constant_prefix():
+    # The rule constant g takes the prefix "g", so generic constants are
+    # named gg01, gg02, ...; the verdicts still match the oracle's.
+    one_rank = "[R1] p(X), q(g) -> r(X)."
+    two_ranks = one_rank + " [R2] r(X), p(X) -> s(X)."
+    for source, bounded in ((one_rank, True), (two_ranks, False)):
+        rs = parse_kb(source).kb.ruleset
+        assert generic_pool(rs, 2) == [Constant("gg01"), Constant("gg02")]
+        for variant in (V.OBLIVIOUS, V.SEMI_OBLIVIOUS, V.RESTRICTED):
+            q = BoundedQuery(rs, variant, 1)
+            assert check_k_bounded(q).bounded is bounded
+            assert oracle_check_k_bounded(q, extended_pool=5).bounded is bounded
+    reps = list(enumerate_representative_factbases(rs, 1))
+    assert frozenset({atom("p", Constant("gg01"))}) in reps
 
 
 def test_representative_factbases_cover_all_classes():

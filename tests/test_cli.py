@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from chasebound.cli import cli
+from chasebound.errors import InternalVerificationError
 from chasebound.terms import Constant, Null, term_sort_key
 from chasebound.trace import deserialize_trace
 
@@ -237,6 +238,10 @@ def test_parse_error_exit_2(tmp_path):
     code, _, err = run_cli(["run", "--kb", str(bad), "--variant", "o"])
     assert code == 2
     assert "error" in err
+    code, out, err = run_cli(["kbounded", "--rules", str(bad), "--variant", "r",
+                              "--k", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"{bad}:1:6: error: expected ')', found ''\n"
 
 
 def test_restrict_and_verify_round(kb_file, tmp_path):
@@ -261,7 +266,7 @@ def test_restrict_unknown_keep_atom_is_usage_error(kb_file, tmp_path):
                             "--keep", "p(zzz,zzz)", "--out",
                             str(tmp_path / "x.json")])
     assert code == 2
-    assert "not in the initial factbase" in err
+    assert err == "error: atoms not in the initial factbase: p(zzz,zzz)\n"
 
 
 def test_restrict_malformed_keep_reports_column_in_argument(kb_file, tmp_path):
@@ -280,6 +285,15 @@ def test_restrict_complete_inserts_missing_trigger(tmp_path):
     code, _, _ = run_cli(["run", "--kb", str(FIXTURES / "ex10.dlp"),
                           "--variant", "r", "--trace", str(trace)])
     assert code == 0
+    # The restriction alone misses (R2,{X:a,Y:b}), which completion adds.
+    restricted = tmp_path / "restricted.json"
+    run_cli(["restrict", "--trace", str(trace), "--keep", "p(a,b)",
+             "--out", str(restricted)])
+    code, out, _ = run_cli(["verify", "--trace", str(restricted)])
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "first_violation: after step 2 (last of rank 2): trigger "
+        "(R2,{X:a,Y:b}) of rank 2 is still r-applicable")
     completed = tmp_path / "completed.json"
     code, out, _ = run_cli(["restrict", "--trace", str(trace),
                             "--keep", "p(a,b)", "--complete",
@@ -343,6 +357,20 @@ def test_unexpected_exception_exits_4_without_traceback(kb_file):
     assert proc.returncode == 4
     assert "internal error: RecursionError" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_internal_verification_failure_exits_4(monkeypatch):
+    import chasebound.cli as cli_module
+
+    def fail(*args, **kwargs):
+        raise InternalVerificationError("witness replay failed: step 1")
+
+    monkeypatch.setattr(cli_module, "check_k_bounded", fail)
+    code, out, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex4.dlp"),
+                              "--variant", "r", "--k", "1"])
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1] == \
+        "internal verification failure: witness replay failed: step 1"
 
 
 def test_importing_the_cli_leaves_the_process_pool_out():
@@ -545,6 +573,40 @@ def test_ctrl_c_exits_130_without_traceback(jobs):
     assert err.splitlines()[-1] == "interrupted"
     assert "Traceback" not in err
     # The workers were joined before the command exited: its session is empty.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
+    # At k=40 the decider's (n, m) cells are far too many to hold; they are
+    # generated as the scan reaches them, so the time cap ends the run
+    # within a 1 GiB address space.
+    import resource
+    import signal
+    import time
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chasebound.cli", "kbounded",
+         "--rules", str(FIXTURES / "ex3_pair.dlp"), "--variant", "r", "--k", "40",
+         "--budget-ms", "500", "--jobs", jobs],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, preexec_fn=limit_memory)
+    try:
+        _, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 3, err
+    assert err.splitlines()[-1].startswith("budget exceeded: time limit reached")
+    assert elapsed < 3.0
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
 

@@ -9,11 +9,18 @@ from chasebound import (
     Trigger,
     Variable,
     atom,
+    enumerate_breadth_first_derivations,
     enumerate_triggers,
     is_applicable,
+    run_breadth_first,
     safe_extension,
 )
-from chasebound.errors import NotApplicableError, UnknownTriggerError
+from chasebound.errors import (
+    ChaseError,
+    NotApplicableError,
+    UnknownTargetError,
+    UnknownTriggerError,
+)
 
 from conftest import load_example, trig
 
@@ -112,6 +119,30 @@ def test_unknown_trigger_raises():
         is_applicable(V.OBLIVIOUS, d, trig(kb.ruleset, "R1", {"X": a, "Y": b}))
     with pytest.raises(UnknownTriggerError):
         is_applicable(V.OBLIVIOUS, d, trig(kb.ruleset, "R1", {"X": a}))
+
+
+def test_foreign_targets_and_unknown_rules_are_rejected():
+    kb = load_example("ex2_k1")
+    d = Derivation.start(V.OBLIVIOUS, kb)
+    with pytest.raises(UnknownTargetError,
+                       match=r"^atom p\(b,b\) does not occur in the derivation$"):
+        d.atom_rank(atom("p", b, b))
+    with pytest.raises(UnknownTargetError,
+                       match=r"^trigger \(R1,\{X:a,Y:a\}\) is not part of the derivation$"):
+        d.ancestors(trig(kb.ruleset, "R1", {"X": a, "Y": a}))
+    with pytest.raises(UnknownTriggerError, match="^unknown rule id R9$"):
+        d.extend(Trigger("R9", Substitution({})), check=False)
+
+
+@pytest.mark.parametrize("search, message", [
+    (lambda kb: run_breadth_first(V.OBLIVIOUS, kb, depth_cap=0), "caps must be >= 1"),
+    (lambda kb: run_breadth_first(V.OBLIVIOUS, kb, step_cap=0), "caps must be >= 1"),
+    (lambda kb: next(enumerate_breadth_first_derivations(V.OBLIVIOUS, kb, depth_target=0)),
+     "depth_target must be >= 1"),
+], ids=["depth-cap", "step-cap", "depth-target"])
+def test_search_limits_below_one_are_rejected(search, message):
+    with pytest.raises(ChaseError, match=f"^{message}$"):
+        search(load_example("ex2_k1"))
 
 
 def test_substitution_beyond_body_vars_is_no_trigger():

@@ -206,6 +206,7 @@ def test_canonical_form_symmetry_and_fixed_terms():
     fixed = frozenset({a})
     assert canonical_form(frozenset({atom("p", a, c1)}), fixed) != \
         canonical_form(frozenset({atom("p", c1, a)}), fixed)
+    assert canonical_form(frozenset()) == b"<empty>"
 
 
 def test_canonical_form_agrees_with_pairwise_isomorphism():

@@ -44,6 +44,20 @@ def test_syntax_error_has_position():
     assert diag.column >= 5
 
 
+@pytest.mark.parametrize("text, diagnostic", [
+    ("p(a).\n  Q(b).", "2:3: error: predicate names must start lowercase"),
+    ("p(a).\n[R1] p(b).", "2:1: error: facts cannot carry a rule id"),
+    ("p(a).\np(b), q(c).", "2:1: error: facts are single atoms"),
+    ("p(a).\np(b) q(c).", "2:6: error: expected '->' or '.'"),
+    ("p(a).\np(X,_:w) -> q(X).", "2:1: error: rule R1: rules must not contain nulls"),
+], ids=["uppercase-predicate", "fact-with-rule-id", "fact-of-two-atoms",
+        "no-arrow-or-dot", "null-in-rule"])
+def test_statement_errors_have_message_and_position(text, diagnostic):
+    result = parse_kb(text)
+    assert result.kb is None
+    assert [str(d) for d in result.diagnostics] == [diagnostic]
+
+
 def test_comments_and_whitespace():
     result = parse_kb("% a comment\np(a,b).   % trailing\n\n[R9] p(X,Y) -> p(Y,X).")
     assert result.ok

@@ -108,6 +108,34 @@ def test_tampered_products_fail_replay():
         deserialize_trace(json.dumps(doc))
 
 
+def test_invalid_json_fails_replay():
+    res = run_breadth_first(V.RESTRICTED, load_example("ex4"))
+    text = serialize_trace(res.derivation, res.halt_reason)
+    with pytest.raises(ReplayFailureError,
+                       match="^trace is not valid JSON: Expecting ',' delimiter"):
+        deserialize_trace(text[:-3])
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("steps", 0), "x", "step 1 is not a JSON object"),
+    (("initial", 0), 5, "trace: a rule, atom or term is not a JSON string"),
+    (("variant",), "x", "unknown ChaseVariant 'x'"),
+    (("steps", 0, "trigger_rank"), 2, "step 1: trigger rank 1 != recorded 2"),
+    (("steps", 0, "factbase_size"), 4, "step 1: factbase size diverges"),
+], ids=["step-not-object", "atom-not-string", "unknown-variant",
+        "tampered-trigger-rank", "tampered-factbase-size"])
+def test_malformed_or_tampered_trace_fails_replay(path, value, message):
+    res = run_breadth_first(V.RESTRICTED, load_example("ex4"))
+    doc = json.loads(serialize_trace(res.derivation, res.halt_reason))
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ReplayFailureError, match="^" + re.escape(message) + "$"):
+        deserialize_trace(json.dumps(doc))
+
+
 def test_thousand_step_trace_is_under_a_megabyte_and_verifies():
     res = run_breadth_first(V.RESTRICTED, load_example("ex1"), step_cap=1000,
                             depth_cap=2000)
