@@ -125,14 +125,43 @@ def _cells(rs: RuleSet, max_atoms: int) -> Iterator[tuple[int, int]]:
 
 def cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget) -> Iterator[frozenset]:
     """The representative factbases of ``n`` atoms with exactly ``m`` generic
-    constants, one per isomorphism class fixing the rule constants.
+    constants, one per isomorphism class fixing the rule constants: each
+    class's least member as a sorted atom tuple, in lexicographic order.
 
-    Candidates are sorted atom tuples, generated in lexicographic order, whose
-    generic constants first appear in term order (restricted growth, as in
-    orderly generation); canonical form drops the isomorphic duplicates that
-    still get through.  A class's first candidate, its lexicographic minimum,
-    has restricted growth, so the pruning skips no class and keeps its
-    representative.  A canonical form fixes n and m, so no class spans cells.
+    The scan is depth first over sorted atom tuples, so it visits the nodes
+    (the prefixes) of each size in lexicographic order.  It drops a node
+    together with its subtree unless:
+
+    - restricted growth: its generic constants first appear in term order;
+    - the ``m - used`` bound: the atoms still to come can hold the generic
+      constants still missing (so a leaf has all ``m``);
+    - first-atom shape: none of its atoms has a shape (the atom with its
+      generic constants renamed in order of first appearance) that sorts
+      before its first atom;
+    - heredity: at 2 atoms or more, no earlier node of its size has its
+      canonical form.  At a leaf this is the dedup itself; a one-atom inner
+      node needs none, since restricted growth leaves one node per class.
+
+    No test drops the least member S of a class, or any prefix of it, so
+    the leaves kept are the first member of each class in lexicographic
+    order, the output of the scan that tests leaves only:
+
+    - S has restricted growth, and so has each prefix of S: if a generic
+      constant g first appeared in S where the next unused one h should,
+      swapping g and h would leave the atoms before that one as they are and
+      make that one smaller, which gives a smaller member.  Each prefix
+      completes to S, so it passes the ``m - used`` bound;
+    - an atom of S whose shape sorted before S's first atom would, renamed to
+      its shape, give a member of the class with a smaller first atom;
+    - least membership is hereditary.  If a renaming σ made the prefix T = S
+      minus its last atom s smaller, first differing at position i, then σ
+      extended to all of S gives sorted(σS) < S: in it σs lands either at a
+      position j <= i, below the atom of S there, or after position i, and
+      then sorted(σS) agrees with sorted(σT) up to i.  So each prefix of S is
+      the least member of its class, and as each size is visited in
+      lexicographic order, it is the first node of its canonical form there.
+
+    A canonical form fixes n and m, so no class spans cells.
     """
     if n == 0:
         yield frozenset()
@@ -143,20 +172,36 @@ def cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget) -> Iterator[froz
     generics = sorted(generic_pool(rs, m), key=term_sort_key)
     order = {c: i for i, c in enumerate(generics)}
     universe = _body_atom_universe(rs, consts + generics)
-    # Per atom, the term-order ranks of its generic arguments, left to right.
+    position = {a: i for i, a in enumerate(universe)}
+    # Per atom, the term-order ranks of its generic arguments, left to right,
+    # and the universe position of its shape.
     ranks = [tuple(order[t] for t in a.args if t in order) for a in universe]
-    seen: set[bytes] = set()
+    shape = []
+    for a in universe:
+        rename = dict(zip(dict.fromkeys(t for t in a.args if t in order), generics))
+        shape.append(position[Atom(a.predicate, tuple(rename.get(t, t) for t in a.args))])
+    seen: set[bytes] = set()  # a canonical form fixes the size of its node
 
-    def emit(start: int, chosen: list[Atom], used: int) -> Iterator[frozenset]:
-        # ``generics[:used]`` occur in ``chosen``, and no other generic.
+    def emit(start: int, chosen: list[Atom], used: int, first: int) -> Iterator[frozenset]:
+        # ``generics[:used]`` occur in ``chosen``, and no other generic;
+        # ``universe[first]`` is its first atom.
         budget.spend_step()
-        if len(chosen) == n:
-            if used == m:
-                yield frozenset(chosen)
+        size = len(chosen)
+        if m - used > (n - size) * body_arity:
             return
-        if m - used > (n - len(chosen)) * body_arity:
-            return
+        if size > 1 or size == n:
+            node = frozenset(chosen)
+            key = canonical_form(node, rs.rule_constants, budget)
+            if key in seen:
+                return
+            seen.add(key)
+            if size == n:
+                budget.spend_item()
+                yield node
+                return
         for i in range(start, len(universe)):
+            if shape[i] < first:
+                continue
             grown = used
             for r in ranks[i]:
                 if r == grown:
@@ -164,14 +209,10 @@ def cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget) -> Iterator[froz
                 elif r > grown:
                     break
             else:
-                yield from emit(i + 1, chosen + [universe[i]], grown)
+                yield from emit(i + 1, chosen + [universe[i]], grown,
+                                first if chosen else i)
 
-    for candidate in emit(0, [], 0):
-        key = canonical_form(candidate, rs.rule_constants, budget)
-        if key not in seen:
-            seen.add(key)
-            budget.spend_item()
-            yield candidate
+    yield from emit(0, [], 0, 0)
 
 
 def enumerate_representative_factbases(rs: RuleSet, max_atoms: int,

@@ -32,6 +32,7 @@ from chasebound import (
     enumerate_triggers,
     find_homomorphism,
     is_applicable,
+    parse_kb,
     restrict,
     run_breadth_first,
     serialize_trace,
@@ -306,6 +307,27 @@ def random_single_rule_set(rng: random.Random) -> RuleSet:
     body = {rand_atom(variables[:3]) for _ in range(rng.randint(1, 2))}
     head = {rand_atom(variables)}
     return RuleSet([Rule("G1", body, head)])
+
+
+def random_body_rule_set(rng: random.Random, constants: bool,
+                         max_arity: int = 3) -> RuleSet:
+    """One rule over two predicates of arity 1 to ``max_arity`` with one or two body
+    atoms, plus, with ``constants``, a body atom that may hold the rule
+    constants ``a`` and ``zz`` (they sort on either side of the generic
+    names), and a head that may hold ``b``.  Only the body predicates and the
+    rule constants matter to the representative-factbase scan."""
+    arity = {p: rng.randint(1, max_arity) for p in ("p", "q")}
+
+    def text(pool):
+        pred = rng.choice(sorted(arity))
+        return f"{pred}({','.join(rng.choice(pool) for _ in range(arity[pred]))})"
+
+    body = [text(_VARS[:3]) for _ in range(rng.randint(1, 2))]
+    head = text(_VARS)
+    if constants:
+        body.append(text(_VARS[:3] + ["a", "zz"]))
+        head = text(_VARS + ["b"])
+    return parse_kb(f"[r] {', '.join(body)} -> {head}.").kb.ruleset
 
 
 def run_random_exhaustive(variant: ChaseVariant, kb: KnowledgeBase,
@@ -643,6 +665,48 @@ def oracle_representative_factbases(rs: RuleSet, max_atoms: int,
                     seen.add(key)
                     budget.spend_item()
                     yield candidate
+
+
+def reference_cell_factbases(rs: RuleSet, n: int, m: int, budget: Budget | None = None):
+    """``cell_factbases`` without its inner-node prunes: the restricted-growth
+    scan that canonicalizes leaves only, each class's first leaf kept."""
+    budget = budget or Budget()
+    if n == 0:
+        yield frozenset()
+        return
+    consts = sorted(rs.rule_constants, key=term_sort_key)
+    arities = rs.arities()
+    body_arity = max(arities[p] for p in rs.body_predicates)
+    generics = sorted(generic_pool(rs, m), key=term_sort_key)
+    order = {c: i for i, c in enumerate(generics)}
+    universe = _body_atom_universe(rs, consts + generics)
+    ranks = [tuple(order[t] for t in a.args if t in order) for a in universe]
+    seen: set[bytes] = set()
+
+    def emit(start, chosen, used):
+        budget.spend_step()
+        if len(chosen) == n:
+            if used == m:
+                yield frozenset(chosen)
+            return
+        if m - used > (n - len(chosen)) * body_arity:
+            return
+        for i in range(start, len(universe)):
+            grown = used
+            for r in ranks[i]:
+                if r == grown:
+                    grown += 1
+                elif r > grown:
+                    break
+            else:
+                yield from emit(i + 1, chosen + [universe[i]], grown)
+
+    for candidate in emit(0, [], 0):
+        key = canonical_form(candidate, rs.rule_constants, budget)
+        if key not in seen:
+            seen.add(key)
+            budget.spend_item()
+            yield candidate
 
 
 # -- unpruned reference for the decider -------------------------------------------

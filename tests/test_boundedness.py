@@ -6,6 +6,7 @@ import re
 import pytest
 
 from chasebound import (
+    Atom,
     BoundedQuery,
     ChaseVariant,
     Constant,
@@ -20,9 +21,10 @@ from chasebound import (
     shrink_witness,
     verify_derivation,
 )
-from chasebound.boundedness import generic_pool, search_factbase
+from chasebound.boundedness import _cells, cell_factbases, generic_pool, search_factbase
 from chasebound.budget import Budget
 from chasebound.errors import BudgetExceededError, ChaseError, VariantUnsupportedError
+from chasebound.terms import atom_sort_key, sorted_atoms
 
 from conftest import EXAMPLE_SOURCES, load_example
 from oracles import is_isomorphic, oracle_check_k_bounded
@@ -151,6 +153,77 @@ def test_representative_factbases_match_unpruned_oracle():
     for name, rs, size in cases:
         assert list(enumerate_representative_factbases(rs, size)) == \
             list(oracle_representative_factbases(rs, size)), name
+
+
+def _scan(cell_scan, rs, max_atoms, cap=None):
+    """The first ``cap`` factbases that ``cell_scan`` yields over the cells
+    of up to ``max_atoms`` atoms in order, on one budget."""
+    budget = Budget()
+    return list(itertools.islice(itertools.chain.from_iterable(
+        cell_scan(rs, n, m, budget) for n, m in _cells(rs, max_atoms)), cap))
+
+
+def test_pruned_scan_matches_the_leaf_only_scan():
+    # The heredity and first-atom-shape prunes drop only subtrees without a
+    # class's least member, so every cell yields the leaf-only scan's list.
+    from oracles import random_body_rule_set, reference_cell_factbases
+
+    # Fixtures at k <= 1 in full (ex9's k=1 is one atom, so up to 4 atoms
+    # here), and at k=2 (ex11: k=1, 16 atoms) up to a factbase cap.
+    for name, max_atoms, cap in (("ex3_pair", 4, None), ("ex3_pair", 8, 1000),
+                                 ("ex9", 4, None), ("ex11", 4, None),
+                                 ("ex11", 16, 2000)):
+        rs = load_example(name).ruleset
+        assert _scan(cell_factbases, rs, max_atoms, cap) == \
+            _scan(reference_cell_factbases, rs, max_atoms, cap), (name, max_atoms)
+
+    # Random rule sets: every cell of their k <= 1 scans with at most 4
+    # atoms and 6 generic constants, up to its first 150 factbases.
+    with_constants = 0
+    for seed in range(24):
+        rs = random_body_rule_set(random.Random(seed), constants=seed % 2 == 1)
+        with_constants += bool(rs.rule_constants)
+        for n, m in _cells(rs, BoundedQuery(rs, V.RESTRICTED, 1).max_atoms):
+            if n <= 4 and m <= 6:
+                fast = cell_factbases(rs, n, m, Budget())
+                assert list(itertools.islice(fast, 150)) == list(itertools.islice(
+                    reference_cell_factbases(rs, n, m), 150)), (seed, n, m)
+    assert with_constants >= 8
+
+
+def test_representatives_are_least_members_and_hereditary():
+    # Brute force over every renaming of a cell's generic constants: each
+    # representative is the least member of its class as a sorted atom
+    # tuple, and without its last atom it is its smaller class's
+    # representative (the heredity the scan's pruning rests on).
+    from oracles import random_body_rule_set
+
+    def key(atoms):
+        return [atom_sort_key(x) for x in sorted_atoms(atoms)]
+
+    # Rule sets and atom counts: a cell's representatives number up to about
+    # a hundred thousand at 4 atoms with rule constants or ternary atoms.
+    cases = [(load_example("ex3_pair").ruleset, 4), (load_example("ex9").ruleset, 4),
+             (parse_kb("[r] p(X,Y), q(Y,a) -> q(X,b), p(b,X).").kb.ruleset, 3)]
+    cases += [(random_body_rule_set(random.Random(seed), constants=seed % 2 == 1,
+                                    max_arity=2), 4) for seed in range(8)]
+    for rs, size in cases:
+        reps: dict = {}
+        for n, m in _cells(rs, size):
+            if m > 4:
+                continue
+            generics = generic_pool(rs, m)
+            reps[n, m] = list(cell_factbases(rs, n, m, Budget()))
+            for fb in reps[n, m]:
+                for image in itertools.permutations(generics):
+                    rename = dict(zip(generics, image))
+                    renamed = [Atom(x.predicate, tuple(rename.get(t, t) for t in x.args))
+                               for x in fb]
+                    assert key(renamed) >= key(fb), (fb, image)
+                if n > 1:
+                    smaller = sorted_atoms(fb)[:-1]
+                    used = {t for x in smaller for t in x.args} & set(generics)
+                    assert frozenset(smaller) in reps[n - 1, len(used)], fb
 
 
 def test_lower_level_factbases_are_a_prefix_of_the_next_level():
@@ -388,5 +461,5 @@ def test_leaving_the_pool_kills_no_worker(monkeypatch):
     for jobs in (1, 2):
         with pytest.raises(BudgetExceededError) as stop:
             check_k_bounded(q, jobs=jobs)
-        assert str(stop.value) == "items limit reached after 4469 steps / 101 items"
+        assert str(stop.value) == "items limit reached after 3387 steps / 101 items"
     assert multiprocessing.active_children() == []

@@ -205,9 +205,9 @@ def test_kbounded_budget_exit_3():
 @pytest.mark.parametrize("cap, last_line", [
     (["--budget-steps", "40"], "steps limit reached after 41 steps / 5 items"),
     (["--budget-steps", "500"], "steps limit reached after 501 steps / 26 items"),
-    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 114 items"),
+    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 122 items"),
     (["--budget-factbases", "100"],
-     "items limit reached after 4469 steps / 101 items"),
+     "items limit reached after 3387 steps / 101 items"),
     (["--budget-factbases", "0"], "items limit reached after 6 steps / 1 items"),
 ], ids=["steps-40", "steps-500", "steps-5000", "factbases-100", "factbases-0"])
 def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
@@ -538,14 +538,14 @@ def test_run_kb_not_utf8_is_read_error(tmp_path):
 
 def test_kbounded_canonical_budget_exits_3():
     # --budget-steps counts every search node, canonical-form nodes included:
-    # the run takes 30,841 steps, of which 26,407 are canonical_form's.
+    # the run takes 14,287 steps, of which 11,310 are canonical_form's.
     argv = ["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
             "--variant", "r", "--k", "1", "--budget-steps"]
-    code, out, err = run_cli(argv + ["30840"])
+    code, out, err = run_cli(argv + ["14286"])
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == \
-        "budget exceeded: steps limit reached after 30841 steps / 231 items"
-    code, out, _ = run_cli(argv + ["30841"])
+        "budget exceeded: steps limit reached after 14287 steps / 231 items"
+    code, out, _ = run_cli(argv + ["14287"])
     assert code == 0 and "bounded: true" in out
 
 

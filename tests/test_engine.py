@@ -8,12 +8,14 @@ from chasebound import (
     Substitution,
     Trigger,
     Variable,
+    VerifyReport,
     atom,
     enumerate_breadth_first_derivations,
     enumerate_triggers,
     is_applicable,
     run_breadth_first,
     safe_extension,
+    verify_derivation,
 )
 from chasebound.errors import (
     ChaseError,
@@ -21,6 +23,7 @@ from chasebound.errors import (
     UnknownTargetError,
     UnknownTriggerError,
 )
+from chasebound.homomorphism import IndexedAtoms
 
 from conftest import load_example, trig
 
@@ -119,6 +122,18 @@ def test_unknown_trigger_raises():
         is_applicable(V.OBLIVIOUS, d, trig(kb.ruleset, "R1", {"X": a, "Y": b}))
     with pytest.raises(UnknownTriggerError):
         is_applicable(V.OBLIVIOUS, d, trig(kb.ruleset, "R1", {"X": a}))
+
+
+def test_verify_reports_a_step_that_does_not_replay():
+    # A derivation built by hand whose initial factbase lacks the first
+    # step's body: its replay stops at that step.
+    kb = load_example("ex1")
+    d = run_breadth_first(V.RESTRICTED, kb, step_cap=2).derivation
+    bare = Derivation(V.RESTRICTED, kb.ruleset, frozenset(), d.steps, IndexedAtoms(),
+                      {}, 0, frozenset(), frozenset())
+    assert verify_derivation(V.RESTRICTED, bare) == VerifyReport(
+        False, False, False, False,
+        "step 1: trigger (R1,{X:alice}) body does not embed into the factbase")
 
 
 def test_foreign_targets_and_unknown_rules_are_rejected():

@@ -209,6 +209,16 @@ def test_canonical_form_symmetry_and_fixed_terms():
     assert canonical_form(frozenset()) == b"<empty>"
 
 
+def test_canonical_form_renames_variables_within_their_kind():
+    # Variables are renamed among themselves, never onto a constant or a null.
+    assert canonical_form(frozenset({atom("p", x, y), atom("q", y)})) == \
+        canonical_form(frozenset({atom("p", z, x), atom("q", x)}))
+    fixed = frozenset({a})
+    assert canonical_form(frozenset({atom("p", x, a)}), fixed) == b"p(n0,!a)"
+    forms = {canonical_form(frozenset({atom("p", t, a)}), fixed) for t in (x, b, w)}
+    assert len(forms) == 3
+
+
 def test_canonical_form_agrees_with_pairwise_isomorphism():
     consts = [Constant(f"c{i}") for i in range(4)]
     generic = frozenset(consts)

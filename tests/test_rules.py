@@ -3,6 +3,7 @@ import pytest
 from chasebound import (
     ChaseVariant,
     Constant,
+    Diagnostic,
     KnowledgeBase,
     Null,
     Rule,
@@ -95,6 +96,15 @@ def test_validate_arity_conflict():
     kb = KnowledgeBase(frozenset({atom("p", Constant("a"), Constant("b"))}), rs)
     diags = validate_kb(kb)
     assert any(d.severity == "error" and "arity" in d.message for d in diags)
+
+
+def test_validate_variable_in_factbase():
+    # The parser rejects a variable in a fact itself, so only a KB built by
+    # hand gets here.
+    kb = KnowledgeBase(frozenset({atom("p", Constant("a"), x)}), RuleSet([]))
+    assert validate_kb(kb) == [Diagnostic(
+        "error", "factbase atom p(a,x) contains a variable; "
+                 "use an initial null (_:name) instead")]
 
 
 def test_validate_generated_nulls_in_factbase():
