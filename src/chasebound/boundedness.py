@@ -29,6 +29,7 @@ from .errors import (
     InternalVerificationError,
     VariantUnsupportedError,
 )
+from .expansions import prove_bounded
 from .homomorphism import canonical_form
 from .rules import KnowledgeBase, RuleSet
 from .terms import Atom, Constant, atom_sort_key, term_sort_key
@@ -52,7 +53,8 @@ class BoundedQuery:
             raise ChaseError("k must be >= 0")
         if witness_bound_mode not in ("paper", "safe"):
             raise ChaseError("witness_bound_mode must be 'paper' or 'safe'")
-        if any(cap is not None and cap < 0
+        # ``not cap >= 0`` also rejects NaN, which no elapsed time exceeds.
+        if any(cap is not None and not cap >= 0
                for cap in (max_ms, max_search_steps, max_factbases)):
             raise ChaseError("budget caps must be >= 0")
         self.ruleset, self.variant, self.k = ruleset, variant, k
@@ -280,31 +282,39 @@ def _verdict(q: BoundedQuery, witness: Optional[Witness],
     return BoundednessVerdict(witness is None, witness, len(counts), sum(counts))
 
 
-def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget) -> tuple:
-    return _first_witness(q, cell_factbases(q.ruleset, *cell, budget), budget)
+def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget,
+          proven: bool) -> tuple:
+    factbases = cell_factbases(q.ruleset, *cell, budget)
+    if proven:
+        # A proven-bounded datalog rule set has no witness, and the search
+        # would find one single-order derivation per factbase.
+        return None, [1 for _ in factbases]
+    return _first_witness(q, factbases, budget)
 
 
-_worker = None  # in a ``--jobs`` worker: the query and an unspent budget with the stop flag
+_worker = None  # in a ``--jobs`` worker: the query, a budget with the stop flag, proven
 
 
-def _start_worker(q: BoundedQuery, budget: Budget, stop) -> None:
+def _start_worker(q: BoundedQuery, budget: Budget, stop, proven: bool) -> None:
     # Ctrl-C is the parent's to take: it sets the stop flag.
     import signal
     global _worker
     budget.stop = stop
-    _worker = q, budget
+    _worker = q, budget, proven
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _scan_in_worker(cell: tuple[int, int]) -> Optional[tuple]:
-    """``_scan`` on a copy of the unspent budget and what it spent, or None if
-    it ran out or the parent set the stop flag, which the budget polls too."""
-    q, unspent = _worker
-    if unspent.stop.is_set():
+    """``_scan`` on a copy of the worker's budget and what this scan spent,
+    or None if it ran out or the parent set the stop flag, which the budget
+    polls too."""
+    q, start, proven = _worker
+    if start.stop.is_set():
         return None
-    budget = copy.copy(unspent)
+    budget = copy.copy(start)
     try:
-        return (*_scan(q, cell, budget), budget.steps, budget.items)
+        return (*_scan(q, cell, budget, proven),
+                budget.steps - start.steps, budget.items - start.items)
     except BudgetExceededError:
         return None
 
@@ -316,24 +326,34 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     new atom of rank k+1; the search stops at the first such atom, which is a
     certificate of depth >= k+1.  The witness is re-verified before returning.
 
+    On a datalog rule set the expansion certificate (``prove_bounded``) runs
+    first, on the query's budget.  When it proves the rule set bounded, the
+    factbases are still enumerated and counted, but none is searched: each
+    would give its one single-order derivation and no witness, so the report
+    is the one the search gives.  Otherwise the search runs as it is.
+
     Each (n, m) cell is scanned up to its first witness, here on the query's
-    budget or in up to ``jobs`` workers (one per core at most) on
-    unspent copies of it.  Scans merge in cell order, adding each spend; a
-    cell whose scan ran out or whose spend would cross a cap is scanned again
-    here, so neither the report nor a step or factbase stop depends on jobs.
-    Such a scan ends the run, so the workers' stop flag is set before it, as
-    it is when the run ends; the workers are then waited for, never killed.
+    budget or in up to ``jobs`` workers (one per core at most) on copies of
+    it as it stood when the pool started.  Scans merge in cell order, adding
+    each scan's own spend; a cell whose scan ran out or whose spend would
+    cross a cap is scanned again here, so neither the report nor a step or
+    factbase stop depends on jobs.  Such a scan ends the run, so the workers'
+    stop flag is set before it, as it is when the run ends; the workers are
+    then waited for, never killed.
     """
     if jobs < 1:
         raise ChaseError("jobs must be >= 1")
     budget = q.budget()
+    proven = q.ruleset.is_datalog and prove_bounded(q.ruleset, q.k, budget)
     jobs = min(jobs, os.cpu_count() or 1)
-    scans = ((*_scan(q, cell, budget), 0, 0) for cell in _cells(q.ruleset, q.max_atoms))
+    scans = ((*_scan(q, cell, budget, proven), 0, 0)
+             for cell in _cells(q.ruleset, q.max_atoms))
     pool = stop = None
     if jobs > 1:
         from multiprocessing import Event, Pool
         stop = Event()
-        pool = Pool(jobs, initializer=_start_worker, initargs=(q, copy.copy(budget), stop))
+        pool = Pool(jobs, initializer=_start_worker,
+                    initargs=(q, copy.copy(budget), stop, proven))
         # The pool's feeder thread hands out cells until the iterable ends, and
         # ``join`` waits for it; so the feed ends once the stop flag is set.
         scans = pool.imap(_scan_in_worker, itertools.takewhile(
@@ -343,7 +363,7 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
         for cell, scan in zip(_cells(q.ruleset, q.max_atoms), scans):
             if scan is None or not budget.charge(*scan[2:]):
                 stop.set()  # only a worker's scan is scanned again
-                scan = _scan(q, cell, budget)
+                scan = _scan(q, cell, budget, proven)
             witness, cell_counts = scan[:2]
             counts += cell_counts
             if witness is not None:

@@ -40,12 +40,14 @@ class Budget:
         if self.stop is not None and self.stop.is_set():
             self._fail("stop")
 
-    def spend_step(self) -> None:
+    def spend_step(self, poll: bool = False) -> None:
+        """One step; the clock and the stop flag are polled every 64 steps,
+        so long item-free stretches cannot stall, or at this one with
+        ``poll`` (a step that may itself take long)."""
         self.steps += 1
         if self.max_steps is not None and self.steps > self.max_steps:
             self._fail("steps")
-        # Polled here as well so long item-free stretches cannot stall.
-        if self.steps % 64 == 0:
+        if poll or self.steps % 64 == 0:
             self._poll()
 
     def spend_item(self) -> None:

@@ -88,7 +88,9 @@ def _check_fields(obj, fields: dict, where: str) -> None:
     if not isinstance(obj, dict):
         raise ReplayFailureError(f"{where} is not a JSON object")
     for key, kind in fields.items():
-        if not isinstance(obj.get(key), kind):
+        value = obj.get(key)
+        # JSON true and false decode as bool, which is an int subclass.
+        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
             raise ReplayFailureError(
                 f"{where}: \"{key}\" is missing or not a JSON {kind.__name__}")
 
@@ -138,7 +140,7 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
     if not isinstance(doc, dict):
         raise ReplayFailureError("trace is not a JSON object")
     version = doc.get("format_version")
-    if version != TRACE_FORMAT_VERSION:
+    if type(version) is not int or version != TRACE_FORMAT_VERSION:  # 2.0 == 2 too
         raise VersionMismatchError(
             f"trace format version {version!r}, expected {TRACE_FORMAT_VERSION}")
     _check_shape(doc)

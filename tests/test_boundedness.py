@@ -461,5 +461,5 @@ def test_leaving_the_pool_kills_no_worker(monkeypatch):
     for jobs in (1, 2):
         with pytest.raises(BudgetExceededError) as stop:
             check_k_bounded(q, jobs=jobs)
-        assert str(stop.value) == "items limit reached after 3387 steps / 101 items"
+        assert str(stop.value) == "items limit reached after 2956 steps / 101 items"
     assert multiprocessing.active_children() == []

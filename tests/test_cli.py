@@ -199,16 +199,16 @@ def test_kbounded_budget_exit_3():
                             "--budget-steps", "40"])
     assert code == 3
     assert err.splitlines()[-1] == \
-        "budget exceeded: steps limit reached after 41 steps / 5 items"
+        "budget exceeded: steps limit reached after 41 steps / 0 items"
 
 
 @pytest.mark.parametrize("cap, last_line", [
-    (["--budget-steps", "40"], "steps limit reached after 41 steps / 5 items"),
-    (["--budget-steps", "500"], "steps limit reached after 501 steps / 26 items"),
-    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 122 items"),
+    (["--budget-steps", "40"], "steps limit reached after 41 steps / 0 items"),
+    (["--budget-steps", "500"], "steps limit reached after 501 steps / 27 items"),
+    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 136 items"),
     (["--budget-factbases", "100"],
-     "items limit reached after 3387 steps / 101 items"),
-    (["--budget-factbases", "0"], "items limit reached after 6 steps / 1 items"),
+     "items limit reached after 2956 steps / 101 items"),
+    (["--budget-factbases", "0"], "items limit reached after 74 steps / 1 items"),
 ], ids=["steps-40", "steps-500", "steps-5000", "factbases-100", "factbases-0"])
 def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
     for jobs in ("1", "2"):
@@ -218,10 +218,14 @@ def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
         assert err.splitlines()[-1] == "budget exceeded: " + last_line, jobs
 
 
-@pytest.mark.parametrize("flag", ["--budget-ms", "--budget-steps", "--budget-factbases"])
-def test_kbounded_negative_budget_cap_is_usage_error(flag):
+@pytest.mark.parametrize("flag, value", [
+    ("--budget-ms", "-1"), ("--budget-steps", "-1"), ("--budget-factbases", "-1"),
+    # No elapsed time exceeds NaN, so it would remove the cap.
+    ("--budget-ms", "nan"),
+], ids=["--budget-ms", "--budget-steps", "--budget-factbases", "--budget-ms-nan"])
+def test_kbounded_negative_budget_cap_is_usage_error(flag, value):
     code, out, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
-                              "--variant", "r", "--k", "1", flag, "-1"])
+                              "--variant", "r", "--k", "1", flag, value])
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == "error: budget caps must be >= 0"
 
@@ -538,14 +542,15 @@ def test_run_kb_not_utf8_is_read_error(tmp_path):
 
 def test_kbounded_canonical_budget_exits_3():
     # --budget-steps counts every search node, canonical-form nodes included:
-    # the run takes 14,287 steps, of which 11,310 are canonical_form's.
+    # the run takes 12,739 steps, of which 11,310 are canonical_form's and 69
+    # the expansion certificate's (no factbase is searched).
     argv = ["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
             "--variant", "r", "--k", "1", "--budget-steps"]
-    code, out, err = run_cli(argv + ["14286"])
+    code, out, err = run_cli(argv + ["12738"])
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == \
-        "budget exceeded: steps limit reached after 14287 steps / 231 items"
-    code, out, _ = run_cli(argv + ["14287"])
+        "budget exceeded: steps limit reached after 12739 steps / 230 items"
+    code, out, _ = run_cli(argv + ["12739"])
     assert code == 0 and "bounded: true" in out
 
 
@@ -581,7 +586,9 @@ def test_ctrl_c_exits_130_without_traceback(jobs):
 def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
     # At k=40 the decider's (n, m) cells are far too many to hold; they are
     # generated as the scan reaches them, so the time cap ends the run
-    # within a 1 GiB address space.
+    # within a 1 GiB address space.  On ex3_pair the expansion certificate
+    # proves the rules bounded at once and the time goes to counting the
+    # factbases; on ex3_single it goes to the certificate's deep levels.
     import resource
     import signal
     import time
@@ -589,26 +596,27 @@ def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    start = time.monotonic()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "chasebound.cli", "kbounded",
-         "--rules", str(FIXTURES / "ex3_pair.dlp"), "--variant", "r", "--k", "40",
-         "--budget-ms", "500", "--jobs", jobs],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        start_new_session=True, preexec_fn=limit_memory)
-    try:
-        _, err = proc.communicate(timeout=30)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        raise
-    elapsed = time.monotonic() - start
-    assert proc.returncode == 3, err
-    assert err.splitlines()[-1].startswith("budget exceeded: time limit reached")
-    assert elapsed < 3.0
-    with pytest.raises(ProcessLookupError):
-        os.killpg(proc.pid, 0)
+    for rules in ("ex3_pair", "ex3_single"):
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "chasebound.cli", "kbounded",
+             "--rules", str(FIXTURES / f"{rules}.dlp"), "--variant", "r", "--k", "40",
+             "--budget-ms", "500", "--jobs", jobs],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True, preexec_fn=limit_memory)
+        try:
+            _, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 3, (rules, err)
+        assert err.splitlines()[-1].startswith("budget exceeded: time limit reached")
+        assert elapsed < 3.0, rules
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 @pytest.mark.parametrize("command", ["verify", "restrict"])

@@ -116,15 +116,34 @@ def test_invalid_json_fails_replay():
         deserialize_trace(text[:-3])
 
 
-@pytest.mark.parametrize("path, value, message", [
-    (("steps", 0), "x", "step 1 is not a JSON object"),
-    (("initial", 0), 5, "trace: a rule, atom or term is not a JSON string"),
-    (("variant",), "x", "unknown ChaseVariant 'x'"),
-    (("steps", 0, "trigger_rank"), 2, "step 1: trigger rank 1 != recorded 2"),
-    (("steps", 0, "factbase_size"), 4, "step 1: factbase size diverges"),
+_NOT_INT = 'step 1: "{}" is missing or not a JSON int'
+
+
+@pytest.mark.parametrize("path, value, message, error", [
+    (("steps", 0), "x", "step 1 is not a JSON object", ReplayFailureError),
+    (("initial", 0), 5, "trace: a rule, atom or term is not a JSON string",
+     ReplayFailureError),
+    (("variant",), "x", "unknown ChaseVariant 'x'", ReplayFailureError),
+    (("steps", 0, "trigger_rank"), 2, "step 1: trigger rank 1 != recorded 2",
+     ReplayFailureError),
+    (("steps", 0, "factbase_size"), 4, "step 1: factbase size diverges",
+     ReplayFailureError),
+    # JSON true decodes as an int subclass equal to 1, the recorded rank.
+    (("steps", 0, "trigger_rank"), True, _NOT_INT.format("trigger_rank"),
+     ReplayFailureError),
+    (("steps", 0, "factbase_size"), True, _NOT_INT.format("factbase_size"),
+     ReplayFailureError),
+    (("steps", 0, "trigger_rank"), 1.0, _NOT_INT.format("trigger_rank"),
+     ReplayFailureError),
+    (("format_version",), 2.0, "trace format version 2.0, expected 2",
+     VersionMismatchError),
+    (("format_version",), True, "trace format version True, expected 2",
+     VersionMismatchError),
 ], ids=["step-not-object", "atom-not-string", "unknown-variant",
-        "tampered-trigger-rank", "tampered-factbase-size"])
-def test_malformed_or_tampered_trace_fails_replay(path, value, message):
+        "tampered-trigger-rank", "tampered-factbase-size", "trigger-rank-true",
+        "factbase-size-true", "trigger-rank-float", "format-version-float",
+        "format-version-true"])
+def test_malformed_or_tampered_trace_fails_replay(path, value, message, error):
     res = run_breadth_first(V.RESTRICTED, load_example("ex4"))
     doc = json.loads(serialize_trace(res.derivation, res.halt_reason))
     *keys, last = path
@@ -132,7 +151,7 @@ def test_malformed_or_tampered_trace_fails_replay(path, value, message):
     for key in keys:
         target = target[key]
     target[last] = value
-    with pytest.raises(ReplayFailureError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(error, match="^" + re.escape(message) + "$"):
         deserialize_trace(json.dumps(doc))
 
 
