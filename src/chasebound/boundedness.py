@@ -66,11 +66,17 @@ class BoundedQuery:
     @property
     def max_atoms(self) -> int:
         exp = self.k if self.witness_bound_mode == "paper" else self.k + 1
-        return max(1, self.ruleset.b ** exp)
+        return _atom_cap(self.ruleset.b, exp)  # b >= 1
 
     def budget(self) -> Budget:
         return Budget(max_ms=self.max_ms, max_steps=self.max_search_steps,
                       max_items=self.max_factbases)
+
+
+def _atom_cap(b: int, exp: int) -> int:
+    # b ** exp capped at 2^63, which no scan or witness comes near; at a huge
+    # k the exact power alone takes seconds to build and gigabytes to hold.
+    return min(b ** min(exp, 63), 1 << 63)
 
 
 class Witness(NamedTuple):
@@ -256,7 +262,7 @@ def _certify(q: BoundedQuery, witness: Witness) -> None:
             f"witness replay failed: {report.first_violation}")
     if witness.derivation.atom_rank(witness.offending_atom) != q.k + 1:
         raise InternalVerificationError("offending atom does not have rank k+1")
-    bound = q.ruleset.b ** (q.k + 1)
+    bound = _atom_cap(q.ruleset.b, q.k + 1)
     if len(witness.minimized_factbase) > bound:
         raise InternalVerificationError(
             f"minimized witness exceeds the ancestor bound b^(k+1) = {bound}")
@@ -282,25 +288,19 @@ def _verdict(q: BoundedQuery, witness: Optional[Witness],
     return BoundednessVerdict(witness is None, witness, len(counts), sum(counts))
 
 
-def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget,
-          proven: bool) -> tuple:
-    factbases = cell_factbases(q.ruleset, *cell, budget)
-    if proven:
-        # A proven-bounded datalog rule set has no witness, and the search
-        # would find one single-order derivation per factbase.
-        return None, [1 for _ in factbases]
-    return _first_witness(q, factbases, budget)
+def _scan(q: BoundedQuery, cell: tuple[int, int], budget: Budget) -> tuple:
+    return _first_witness(q, cell_factbases(q.ruleset, *cell, budget), budget)
 
 
-_worker = None  # in a ``--jobs`` worker: the query, a budget with the stop flag, proven
+_worker = None  # in a ``--jobs`` worker: the query and a budget with the stop flag
 
 
-def _start_worker(q: BoundedQuery, budget: Budget, stop, proven: bool) -> None:
+def _start_worker(q: BoundedQuery, budget: Budget, stop) -> None:
     # Ctrl-C is the parent's to take: it sets the stop flag.
     import signal
     global _worker
     budget.stop = stop
-    _worker = q, budget, proven
+    _worker = q, budget
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
@@ -308,12 +308,12 @@ def _scan_in_worker(cell: tuple[int, int]) -> Optional[tuple]:
     """``_scan`` on a copy of the worker's budget and what this scan spent,
     or None if it ran out or the parent set the stop flag, which the budget
     polls too."""
-    q, start, proven = _worker
+    q, start = _worker
     if start.stop.is_set():
         return None
     budget = copy.copy(start)
     try:
-        return (*_scan(q, cell, budget, proven),
+        return (*_scan(q, cell, budget),
                 budget.steps - start.steps, budget.items - start.items)
     except BudgetExceededError:
         return None
@@ -327,10 +327,8 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     certificate of depth >= k+1.  The witness is re-verified before returning.
 
     On a datalog rule set the expansion certificate (``prove_bounded``) runs
-    first, on the query's budget.  When it proves the rule set bounded, the
-    factbases are still enumerated and counted, but none is searched: each
-    would give its one single-order derivation and no witness, so the report
-    is the one the search gives.  Otherwise the search runs as it is.
+    first, on the query's budget.  When it proves the rule set bounded, that
+    is the verdict, and no factbase is examined.
 
     Each (n, m) cell is scanned up to its first witness, here on the query's
     budget or in up to ``jobs`` workers (one per core at most) on copies of
@@ -344,16 +342,17 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
     if jobs < 1:
         raise ChaseError("jobs must be >= 1")
     budget = q.budget()
-    proven = q.ruleset.is_datalog and prove_bounded(q.ruleset, q.k, budget)
+    if q.ruleset.is_datalog and prove_bounded(q.ruleset, q.k, budget):
+        return BoundednessVerdict(True, None, 0, 0)
     jobs = min(jobs, os.cpu_count() or 1)
-    scans = ((*_scan(q, cell, budget, proven), 0, 0)
+    scans = ((*_scan(q, cell, budget), 0, 0)
              for cell in _cells(q.ruleset, q.max_atoms))
     pool = stop = None
     if jobs > 1:
         from multiprocessing import Event, Pool
         stop = Event()
         pool = Pool(jobs, initializer=_start_worker,
-                    initargs=(q, copy.copy(budget), stop, proven))
+                    initargs=(q, copy.copy(budget), stop))
         # The pool's feeder thread hands out cells until the iterable ends, and
         # ``join`` waits for it; so the feed ends once the stop flag is set.
         scans = pool.imap(_scan_in_worker, itertools.takewhile(
@@ -363,7 +362,7 @@ def check_k_bounded(q: BoundedQuery, jobs: int = 1) -> BoundednessVerdict:
         for cell, scan in zip(_cells(q.ruleset, q.max_atoms), scans):
             if scan is None or not budget.charge(*scan[2:]):
                 stop.set()  # only a worker's scan is scanned again
-                scan = _scan(q, cell, budget, proven)
+                scan = _scan(q, cell, budget)
             witness, cell_counts = scan[:2]
             counts += cell_counts
             if witness is not None:

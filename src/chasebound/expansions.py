@@ -37,11 +37,11 @@ covered by one of depth <= k, every atom of stage k+1 is in stage k, and the
 rule set is k-bounded under o, so and r.  Conversely, a kept level-(k+1)
 expansion is covered by no expansion of depth <= k, so its head is not in
 stage k of its own body with the variables frozen, and the rule set is not
-k-bounded.  The decider takes only the first answer: on the second it runs
-its search, which finds the first witness in its own order, so the report is
-the one it gives without the certificate.  This is the expansion test for
-datalog boundedness (Naughton & Sagiv 1987; Cosmadakis, Gaifman, Kanellakis
-& Vardi 1988).
+k-bounded.  The decider takes only the first answer, as its verdict, and
+examines no factbase.  On the second it runs its search, which finds the
+first witness in its own order, so the report is the one it gives without
+the certificate.  This is the expansion test for datalog boundedness
+(Naughton & Sagiv 1987; Cosmadakis, Gaifman, Kanellakis & Vardi 1988).
 """
 
 from __future__ import annotations

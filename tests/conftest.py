@@ -17,6 +17,9 @@ EXAMPLE_SOURCES = {
     # Datalog transitivity alone (unbounded) and with the join rule (bounded).
     "ex3_single": "[tc] p(X,Y), p(Y,Z) -> p(X,Z).",
     "ex3_pair": "[tc] p(X,Y), p(Y,Z) -> p(X,Z).\n[join] p(X,Y), p(U,Z) -> p(X,Z).",
+    # The transitivity body with an existential head: no datalog proof applies,
+    # so the decider searches its factbases (at r, k=1 the 232 classes of ex3_pair).
+    "ex3_exists": "[R] p(X,Y), p(Y,Z) -> q(X,W).",
     # Existential loop that only the restricted (and core) chase tames.
     "ex4": "p(a,b). p(X,Y) -> p(Y,Z), p(Z,Y).",
     # Restricted chase order dependence.

@@ -251,9 +251,8 @@ def test_lower_level_factbases_are_a_prefix_of_the_next_level():
 def test_transitivity_with_join_rule_is_restricted_1_bounded():
     rs = load_example("ex3_pair").ruleset
     verdict = check_k_bounded(BoundedQuery(rs, V.RESTRICTED, 1))
-    assert verdict.bounded
-    assert verdict.witness is None
-    assert verdict.factbases_examined > 10
+    # The datalog proof is the verdict: no factbase is examined.
+    assert verdict == (True, None, 0, 0)
 
 
 def test_transitivity_alone_is_not_restricted_1_bounded():
@@ -412,25 +411,40 @@ def test_parallel_jobs_agree():
             assert par.witness.factbase == seq.witness.factbase
 
 
-def test_worker_count_is_bounded_by_the_cores(monkeypatch):
+def forbid_worker_start(monkeypatch):
     import multiprocessing.process
-    import os
 
     def no_start(process):
         raise AssertionError("no worker process may start")
 
-    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 1)
-    seq = check_k_bounded(q)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+
+
+def test_worker_count_is_bounded_by_the_cores(monkeypatch):
+    import os
+
+    q = BoundedQuery(load_example("ex3_exists").ruleset, V.RESTRICTED, 1)
+    seq = check_k_bounded(q)
+    assert seq.factbases_examined == 232
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    forbid_worker_start(monkeypatch)
     assert check_k_bounded(q, jobs=8) == seq
+
+
+def test_proven_run_starts_no_worker(monkeypatch):
+    # Nor does a factbase cap stop it: no factbase is examined.
+    forbid_worker_start(monkeypatch)
+    for k in (1, 2):
+        q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, k,
+                         max_factbases=0)
+        assert check_k_bounded(q, jobs=2) == (True, None, 0, 0)
 
 
 def test_time_cap_stops_the_workers():
     import multiprocessing
     import time
 
-    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 2,
+    q = BoundedQuery(load_example("ex3_exists").ruleset, V.RESTRICTED, 2,
                      max_ms=300)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
@@ -456,10 +470,10 @@ def test_leaving_the_pool_kills_no_worker(monkeypatch):
     assert par.witness.derivation.triggers() == seq.witness.derivation.triggers()
     assert multiprocessing.active_children() == []
 
-    q = BoundedQuery(load_example("ex3_pair").ruleset, V.RESTRICTED, 1,
+    q = BoundedQuery(load_example("ex3_exists").ruleset, V.RESTRICTED, 1,
                      max_factbases=100)
     for jobs in (1, 2):
         with pytest.raises(BudgetExceededError) as stop:
             check_k_bounded(q, jobs=jobs)
-        assert str(stop.value) == "items limit reached after 2956 steps / 101 items"
+        assert str(stop.value) == "items limit reached after 3834 steps / 101 items"
     assert multiprocessing.active_children() == []

@@ -203,19 +203,36 @@ def test_kbounded_budget_exit_3():
 
 
 @pytest.mark.parametrize("cap, last_line", [
-    (["--budget-steps", "40"], "steps limit reached after 41 steps / 0 items"),
-    (["--budget-steps", "500"], "steps limit reached after 501 steps / 27 items"),
-    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 136 items"),
+    (["--budget-steps", "40"], "steps limit reached after 41 steps / 4 items"),
+    (["--budget-steps", "500"], "steps limit reached after 501 steps / 25 items"),
+    (["--budget-steps", "5000"], "steps limit reached after 5001 steps / 118 items"),
     (["--budget-factbases", "100"],
-     "items limit reached after 2956 steps / 101 items"),
-    (["--budget-factbases", "0"], "items limit reached after 74 steps / 1 items"),
+     "items limit reached after 3834 steps / 101 items"),
+    (["--budget-factbases", "0"], "items limit reached after 6 steps / 1 items"),
 ], ids=["steps-40", "steps-500", "steps-5000", "factbases-100", "factbases-0"])
 def test_kbounded_budget_stops_do_not_depend_on_jobs(cap, last_line):
     for jobs in ("1", "2"):
-        code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+        code, _, err = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_exists.dlp"),
                                 "--variant", "r", "--k", "1", "--jobs", jobs] + cap)
         assert code == 3, jobs
         assert err.splitlines()[-1] == "budget exceeded: " + last_line, jobs
+
+
+@pytest.mark.parametrize("k", ["2", "40"])
+def test_kbounded_proven_datalog_answers_at_once(k):
+    # The datalog proof holds for ex3_pair from k=1; it is the verdict, under
+    # every variant and job count, and no factbase is examined.
+    import time
+
+    for variant in ("o", "so", "r"):
+        for jobs in ("1", "2"):
+            start = time.monotonic()
+            code, out, _ = run_cli(["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+                                    "--variant", variant, "--k", k, "--jobs", jobs])
+            assert time.monotonic() - start < 1.0, (variant, jobs)
+            assert code == 0, (variant, jobs)
+            assert out.endswith("bounded: true\nfactbases_examined: 0\n"
+                                "derivations_examined: 0\n"), (variant, jobs)
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -410,16 +427,18 @@ def test_benchmark_tracer_installs_and_traces_the_cli():
         "out = io.StringIO()\n"
         f"print(cli.cli(['run', '--kb', {str(FIXTURES / 'ex1.dlp')!r}, '--variant', 'r',\n"
         "               '--max-steps', '20'], out, out))\n"
-        f"print(cli.cli(['kbounded', '--rules', {str(FIXTURES / 'ex3_pair.dlp')!r},\n"
+        f"print(cli.cli(['kbounded', '--rules', {str(FIXTURES / 'ex3_exists.dlp')!r},\n"
         "               '--variant', 'r', '--k', '1'], out, out))\n"
-        "print(tracer.stats['homomorphism.find_homomorphism'].calls > 0)\n")
+        "print([tracer.stats[name].calls > 0 for name in (\n"
+        "    'homomorphism.find_homomorphism', 'homomorphism.canonical_form',\n"
+        "    'boundedness.search_factbase')])\n")
     # -B: no bytecode cache is left in perfbench/.
     proc = subprocess.run(
         [sys.executable, "-B", "-c", script],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n0\nTrue\n"
+    assert proc.stdout == "1\n0\n[True, True, True]\n"
 
 
 def test_usage_error_unknown_subcommand():
@@ -542,16 +561,17 @@ def test_run_kb_not_utf8_is_read_error(tmp_path):
 
 def test_kbounded_canonical_budget_exits_3():
     # --budget-steps counts every search node, canonical-form nodes included:
-    # the run takes 12,739 steps, of which 11,310 are canonical_form's and 69
-    # the expansion certificate's (no factbase is searched).
-    argv = ["kbounded", "--rules", str(FIXTURES / "ex3_pair.dlp"),
+    # the run takes 14,556 steps, of which 11,310 are canonical_form's, 1,360
+    # the enumeration's and 1,886 the derivation search's.
+    argv = ["kbounded", "--rules", str(FIXTURES / "ex3_exists.dlp"),
             "--variant", "r", "--k", "1", "--budget-steps"]
-    code, out, err = run_cli(argv + ["12738"])
+    code, out, err = run_cli(argv + ["14555"])
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == \
-        "budget exceeded: steps limit reached after 12739 steps / 230 items"
-    code, out, _ = run_cli(argv + ["12739"])
-    assert code == 0 and "bounded: true" in out
+        "budget exceeded: steps limit reached after 14556 steps / 231 items"
+    code, out, _ = run_cli(argv + ["14556"])
+    assert code == 0 and out.endswith(
+        "bounded: true\nfactbases_examined: 232\nderivations_examined: 479\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -561,7 +581,7 @@ def test_ctrl_c_exits_130_without_traceback(jobs):
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "chasebound.cli", "kbounded",
-         "--rules", str(FIXTURES / "ex3_pair.dlp"), "--variant", "r", "--k", "2",
+         "--rules", str(FIXTURES / "ex3_exists.dlp"), "--variant", "r", "--k", "2",
          "--jobs", jobs],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -586,9 +606,10 @@ def test_ctrl_c_exits_130_without_traceback(jobs):
 def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
     # At k=40 the decider's (n, m) cells are far too many to hold; they are
     # generated as the scan reaches them, so the time cap ends the run
-    # within a 1 GiB address space.  On ex3_pair the expansion certificate
-    # proves the rules bounded at once and the time goes to counting the
-    # factbases; on ex3_single it goes to the certificate's deep levels.
+    # within a 1 GiB address space.  On ex3_exists the time goes to the
+    # factbase scan; on ex3_single it goes to the datalog proof's deep
+    # levels.  At k=10^9 the size cap b^(k+1) is computed without building
+    # the exact power, a billion-bit integer.
     import resource
     import signal
     import time
@@ -596,11 +617,12 @@ def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    for rules in ("ex3_pair", "ex3_single"):
+    for rules, k in (("ex3_exists", "40"), ("ex3_single", "40"),
+                     ("ex3_exists", "1000000000")):
         start = time.monotonic()
         proc = subprocess.Popen(
             [sys.executable, "-m", "chasebound.cli", "kbounded",
-             "--rules", str(FIXTURES / f"{rules}.dlp"), "--variant", "r", "--k", "40",
+             "--rules", str(FIXTURES / f"{rules}.dlp"), "--variant", "r", "--k", k,
              "--budget-ms", "500", "--jobs", jobs],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -612,9 +634,9 @@ def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
             proc.communicate()
             raise
         elapsed = time.monotonic() - start
-        assert proc.returncode == 3, (rules, err)
+        assert proc.returncode == 3, (rules, k, err)
         assert err.splitlines()[-1].startswith("budget exceeded: time limit reached")
-        assert elapsed < 3.0, rules
+        assert elapsed < 3.0, (rules, k)
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 

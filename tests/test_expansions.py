@@ -1,6 +1,7 @@
 """The datalog expansion certificate against the plain factbase search and the
 unpruned oracle: it may only ever answer "bounded" where both find no
-witness, and the decider's report must be the one the plain search gives."""
+witness.  Where it holds, the decider examines no factbase; elsewhere its
+report must be the one the plain search gives."""
 
 import random
 
@@ -50,12 +51,20 @@ def oracle(q: BoundedQuery):
     return oracle_check_k_bounded(q, default_pool_size(q.ruleset, q.max_atoms) + 1)
 
 
+def agrees(verdict, plain, proven: bool) -> bool:
+    """The decider's report is the plain search's, except that a proven run
+    examined nothing."""
+    if proven:
+        plain = plain._replace(factbases_examined=0, derivations_examined=0)
+    return comparable(verdict) == comparable(plain)
+
+
 def check_against_search(q: BoundedQuery) -> bool:
-    """The certificate's answer, after checking the decider's full report
-    against the plain search and the certificate against both searches."""
+    """The certificate's answer, after checking the decider's report against
+    the plain search and the certificate against both searches."""
     proven = prove_bounded(q.ruleset, q.k, Budget())
     verdict = check_k_bounded(q)
-    assert comparable(verdict) == comparable(plain_search(q))
+    assert agrees(verdict, plain_search(q), proven)
     assert verdict.bounded or not proven
     oq = oracle_query(q)
     assert oracle(oq).bounded == check_k_bounded(oq).bounded
@@ -109,7 +118,7 @@ def test_certificate_agrees_with_the_search_on_random_datalog():
                     tally["search capped"] += 1
                 else:
                     tally["searched"] += 1
-                    assert comparable(verdict) == comparable(plain), (seed, k, variant)
+                    assert agrees(verdict, plain, proven), (seed, k, variant)
                     assert plain.bounded or not proven, (seed, k, variant)
                 try:
                     bounded = oracle(oracle_query(q)).bounded
