@@ -1,15 +1,21 @@
 """Triggers, derivations and the four chase variants.
 
-A Derivation is an immutable value: ``extend`` returns a new one, so search
-procedures can branch freely without copying state by hand.  Atom ranks are
-fixed at first production; depth is the maximal atom rank, so a datalog step
-whose products already exist never increases depth.  The factbase is an
-``IndexedAtoms``, whose one index files each atom by predicate, by
-(predicate, rank) and by argument position: ``extend`` appends the step's new
-atoms to the parent's lists at their rank, so homomorphism searches against
-it never re-index, the restricted chase's check looks only at the atoms that
-share a frozen frontier image, and the rank join reads the rank lists.
-``extend`` also carries the depth along.
+A Derivation owns its containers outright: the factbase, the step log, the
+atom-to-step map, the applied triggers, the frontier images seen and the null
+names.  The private ``_apply`` grows them in place by one step, at the cost
+of that step's own atoms; the engine's loops that hand out no intermediate
+derivation (the runner, restriction, completion, verification and trace
+replay) grow one derivation that way.  The public ``extend`` is pure: it
+copies the containers, index lists included, and applies the step to the
+copy, so the receiver never changes and no two derivations share a
+container.  Branching searches, which keep several derivations alive, use it.
+Atom ranks are fixed at first production; depth is the maximal atom rank, so
+a datalog step whose products already exist never increases depth.  The
+factbase is an ``IndexedAtoms``, whose one index files each atom by
+predicate, by (predicate, rank) and by argument position: a step appends its
+new atoms to the lists at their rank, so homomorphism searches against it
+never re-index, the restricted chase's check looks only at the atoms that
+share a frontier image, and the rank join reads the rank lists.
 
 A trigger's rank is 1 + the maximal rank of its body atoms, so the triggers of
 rank κ are the body matches onto atoms of rank <= κ-1 that use at least one
@@ -31,10 +37,10 @@ over a rank's candidates applies all it can, and a candidate that is not
 applicable when its rank opens can be dropped before it becomes a trigger.
 The so and r conditions depend on a trigger's frontier image alone, so one
 check (``_frontier_open``) decides them once per distinct frontier image, on
-the head with that image filled in; no null is minted for a trigger that is
-never applied.  The equivalent chase is not monotone (a trigger can wake up
-again), so it keeps every unapplied candidate, looks at every rank and
-rescans a rank's candidates from the start after each step.
+the rule's compiled head with that image filled in; no null is minted for a
+trigger that is never applied.  The equivalent chase is not monotone (a
+trigger can wake up again), so it keeps every unapplied candidate, looks at
+every rank and rescans a rank's candidates from the start after each step.
 
 Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -149,7 +155,8 @@ class Derivation:
     and no ancestors.  Nulls are keyed by the variant (``safe_extension``).
     The factbase (indexed by predicate, rank and argument position), the
     depth, the applied triggers and the frontier images seen are kept as
-    indexes for trigger enumeration and the applicability checks.
+    indexes for trigger enumeration and the applicability checks.  The
+    instance owns every container it is given (module docstring).
     """
 
     __slots__ = ("variant", "ruleset", "initial", "steps", "factbase",
@@ -172,8 +179,8 @@ class Derivation:
     @classmethod
     def start(cls, variant: ChaseVariant, kb: KnowledgeBase) -> "Derivation":
         initial = frozenset(kb.factbase)
-        return cls(variant, kb.ruleset, initial, (), IndexedAtoms(initial), {}, 0,
-                   frozenset(), frozenset())
+        return cls(variant, kb.ruleset, initial, [], IndexedAtoms(initial), {}, 0,
+                   set(), set())
 
     # -- queries ----------------------------------------------------------
 
@@ -284,7 +291,8 @@ class Derivation:
     # -- construction ------------------------------------------------------
 
     def extend(self, trigger: Trigger, check: bool = True) -> "Derivation":
-        """Append one immediate derivation step.
+        """A new derivation: this one plus one immediate derivation step.
+        This one is left as it is.
 
         With ``check`` the variant's applicability condition is enforced
         (NotApplicableError otherwise); restriction replay disables it because
@@ -293,22 +301,36 @@ class Derivation:
         if check and not is_applicable(self.variant, self, trigger):
             raise NotApplicableError(f"trigger {self.show(trigger)} is not "
                                      f"{self.variant.value}-applicable")
+        d = Derivation(self.variant, self.ruleset, self.initial, list(self.steps),
+                       self.factbase.copy(), dict(self._step_of), self._depth,
+                       set(self.applied), set(self._frontier_seen))
+        if self._null_names is not None:
+            d._null_names = dict(self._null_names)
+        d._apply(trigger)
+        return d
+
+    def _apply(self, trigger: Trigger) -> DerivationStep:
+        """Append one immediate derivation step in place, without the
+        applicability check, and return it.  UnknownTriggerError or
+        NotApplicableError (an applied trigger) leave the derivation as it
+        is."""
         rule, body_image = self._checked_body(trigger)
         if trigger in self.applied:
             raise NotApplicableError(f"trigger {self.show(trigger)} already applied")
         head = safe_extension(trigger, rule, self.variant).apply(rule.head)
-        produced = frozenset(head - self.factbase)
+        produced = head - self.factbase
         trank = 1 + max(map(self.atom_rank, body_image))
-        factbase = self.factbase.with_atoms(produced, trank)
-        step = DerivationStep(trigger, produced, len(factbase), trank)
-        step_of = dict(self._step_of)
-        step_of.update(dict.fromkeys(produced, step))
-        depth = max(self._depth, trank) if produced else self._depth
-        frontier_seen = self._frontier_seen | {
-            (rule.rule_id, frontier_image(rule, trigger.pi))}
-        return Derivation(self.variant, self.ruleset, self.initial,
-                          self.steps + (step,), factbase, step_of, depth,
-                          self.applied | {trigger}, frontier_seen)
+        self.factbase.grow(produced, trank)
+        step = DerivationStep(trigger, produced, len(self.factbase), trank)
+        self.steps.append(step)
+        self._step_of.update(dict.fromkeys(produced, step))
+        if produced:
+            self._depth = max(self._depth, trank)
+        self.applied.add(trigger)
+        self._frontier_seen.add((rule.rule_id, frontier_image(rule, trigger.pi)))
+        if self._null_names is not None:
+            name_new_nulls(self._null_names, len(self.steps), produced)
+        return step
 
 
 # -- trigger enumeration and applicability ---------------------------------
@@ -451,27 +473,27 @@ def _frontier_open(variant: ChaseVariant, d: Derivation, rule: Rule,
 
     A trigger is r-applicable unless its head has a homomorphism into the
     factbase that fixes the frontier image and moves only the fresh nulls.
-    The check is made on the head with the frontier image filled in and the
-    existential variables left as variables, which move as the fresh nulls
-    would; no null is minted.  An applied frontier-equal trigger has put such
-    a head image in the factbase, so it closes the r check at once; it is
-    also the whole so condition.
+    The check runs the rule's compiled head (``BodyJoin.head_join``) with
+    the frontier image filled in and the existential variables movable, as
+    the fresh nulls would be, up to its first match; no null is minted.  An
+    applied frontier-equal trigger has put such a head image in the
+    factbase, so it closes the r check at once; it is also the whole so
+    condition.
     """
     if (rule.rule_id, frontier) in d._frontier_seen:
         return False
     if variant is ChaseVariant.SEMI_OBLIVIOUS:
         return True
     join = rule.join
-    terms = (frontier + join.head_terms).__getitem__
     if rule.is_datalog:
         # The head is all fixed: a membership test per atom, stopping at the
         # first missing one, with no set built.
+        terms = (frontier + join.head_terms).__getitem__
         for p, args in join.head:
             if Atom(p, tuple(map(terms, args))) not in d.factbase:
                 return True
         return False
-    head = frozenset(Atom(p, tuple(map(terms, args))) for p, args in join.head)
-    return find_homomorphism(head, d.factbase, frozenset(frontier)) is None
+    return not join.head_join.search(d.factbase.index, frontier, first_only=True)
 
 
 # -- restriction, verification, completion ----------------------------------
@@ -494,7 +516,7 @@ def restrict(derivation: Derivation, keep: frozenset) -> Derivation:
     out = Derivation.start(derivation.variant, KnowledgeBase(keep, derivation.ruleset))
     for step in derivation.steps:
         if out._body_image(step.trigger) <= out.factbase:
-            out = out.extend(step.trigger, check=False)
+            out._apply(step.trigger)
     return out
 
 
@@ -580,23 +602,24 @@ def verify_derivation(variant: ChaseVariant, derivation: Derivation) -> VerifyRe
                      in _applicable_new_triggers(variant, prefix, scan)
                      if rank != k + 1), None)
 
+    # Each step is checked on the replay before it is applied to it.
     replay = Derivation.start(derivation.variant,
                               KnowledgeBase(derivation.initial, derivation.ruleset))
     for i, step in enumerate(derivation.steps):
         try:
-            prefix, replay = replay, replay.extend(step.trigger, check=False)
+            rank = replay.trigger_rank_of(step.trigger)
         except UnknownTriggerError as exc:
             return VerifyReport(False, False, False, False,
                                 f"step {i + 1}: {exc}")
-        if applicability is None and not _applicable(variant, prefix, step.trigger):
+        if applicability is None and not _applicable(variant, replay, step.trigger):
             applicability = (f"step {i + 1}: trigger {derivation.show(step.trigger)} "
                              f"is not {variant.value}-applicable")
-        rank = replay.steps[-1].trigger_rank
         if last and rank != last and exhaustion is None:
-            exhaustion = boundary(prefix, i)
+            exhaustion = boundary(replay, i)
         if rank < last and ordering is None:
             ordering = f"step {i + 1}: trigger rank {rank} after rank {last}"
         last = rank
+        replay._apply(step.trigger)
     if last and exhaustion is None:
         exhaustion = boundary(replay, len(derivation.steps))
 
@@ -637,13 +660,13 @@ def breadth_first_completion(variant: ChaseVariant, restricted: Derivation) -> D
             if step.trigger_rank != kappa or step.trigger in out.applied:
                 continue
             if is_applicable(variant, out, step.trigger):
-                out = out.extend(step.trigger, check=False)
+                out._apply(step.trigger)
         # Candidates of this rank are fixed once the previous rank is done;
         # one forward pass re-checks each in turn, since order matters for R
         # and a skipped candidate stays inapplicable.
         for t in _open_triggers(variant, out, kappa):
             if _applicable(variant, out, t):
-                out = out.extend(t, check=False)
+                out._apply(t)
     return out
 
 
@@ -664,7 +687,9 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     seeded-random), re-checking applicability before each application; the
     rank advances once exhausted.  Halts with DEPTH_CAP the moment a new atom
     of rank depth_cap+1 would be created, with STEP_CAP when one more step
-    would exceed the step budget.
+    would exceed the step budget.  The derivation grows in place; a step of
+    a rank past the depth cap is taken on a copy (``extend``), so the
+    derivation from before it can still be returned.
     """
     if depth_cap < 1 or step_cap < 1:
         raise ChaseError("caps must be >= 1")
@@ -686,10 +711,13 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
         while i is not None:
             if len(d.steps) >= step_cap:
                 return ChaseResult(d, HaltReason.STEP_CAP)
-            d2 = d.extend(candidates[i], check=False)
-            if kappa > depth_cap and d2.steps[-1].produced:
-                return ChaseResult(d, HaltReason.DEPTH_CAP)
-            d = d2
+            if kappa <= depth_cap:
+                d._apply(candidates[i])
+            else:
+                d2 = d.extend(candidates[i], check=False)
+                if d2.steps[-1].produced:
+                    return ChaseResult(d, HaltReason.DEPTH_CAP)
+                d = d2
             i = _next_applicable(variant, d, candidates, i + 1)
 
 
@@ -738,9 +766,10 @@ def enumerate_breadth_first_derivations(
         for t, next_start in choices:
             d2 = d.extend(t, check=False)
             if branch_orders:
-                if d2.applied in seen:
+                state = frozenset(d2.applied)
+                if state in seen:
                     continue
-                seen.add(d2.applied)
+                seen.add(state)
             if kappa is not None and kappa >= depth_target and d2.steps[-1].produced:
                 yield d2
             else:

@@ -1,25 +1,28 @@
 """Homomorphism search and canonical forms for atom sets.
 
 There is one backtracking matcher, ``Join``: a source atom set compiled once
-into slots (one per movable term; constants and ``frozen`` terms are fixed)
-and, per join order, a plan of slot tests and binds, run over one candidate
-list per source atom, shortest list first (ties in atom_sort_key order), so
-results are deterministic and pruning happens early.  ``find_homomorphism``
-and ``all_homomorphisms`` compile their source into one; the engine's rank
-join (``rules.BodyJoin``) and the restricted chase's check run on it too.
+into slots (one per movable term; constants, ``frozen`` terms and ``params``
+are fixed) and, per join order, a plan of slot tests and binds, run over one
+candidate list per source atom, shortest list first (ties in atom_sort_key
+order), so results are deterministic and pruning happens early.
+``find_homomorphism`` and ``all_homomorphisms`` compile their source into
+one; the engine's rank join (``rules.BodyJoin``) runs on it too, and so does
+the restricted chase's check, a rule head compiled once with its frontier
+variables as params, which each check fills with a frontier image.
 Constants are always fixed; nulls and variables are movable unless frozen.
 
 Candidates come from the target's one index, an ``IndexedAtoms``: each atom
 is filed under (predicate, arity), under ((predicate, arity), rank) and under
 (predicate, arity, position, term) for each argument.  A source atom takes
 the shortest of its predicate's list and the position lists of its fixed
-arguments, so the restricted chase's check, whose frontier image is frozen,
+arguments, so the restricted chase's check, whose frontier image is fixed,
 looks only at atoms that share it.  A chase derivation's factbase is one,
-grown step by step by appending the new atoms at their rank only, and the
-engine's rank join reads the rank lists; any other target is indexed afresh
-(at rank 0) on every call.  An index list is a search structure, not an
-output: what a search returns in an order (``all_homomorphisms``) is sorted
-on the way out.
+grown in place step by step by appending the new atoms at their rank, and
+the engine's rank join reads the rank lists; any other target is indexed
+afresh (at rank 0) on every call.  Every instance owns its index lists:
+``IndexedAtoms.copy`` copies them, so nothing grows a list another instance
+reads.  An index list is a search structure, not an output: what a search
+returns in an order (``all_homomorphisms``) is sorted on the way out.
 """
 
 from __future__ import annotations
@@ -41,48 +44,47 @@ def predicate_key(a: Atom) -> tuple[str, int]:
     return a.predicate, len(a.args)
 
 
-def _file(index: dict, atoms: Iterable[Atom], rank: int) -> dict:
-    """``index`` with ``atoms`` appended in sort order, each under (predicate,
+def _file(index: dict, atoms: Iterable[Atom], rank: int) -> None:
+    """Append ``atoms`` to ``index`` in sort order, each under (predicate,
     arity), ((predicate, arity), rank) and, per argument, (predicate, arity,
-    position, term); a list is copied the first time it grows, so the lists
-    shared with the parent instance stay as they are."""
-    grown: set = set()
+    position, term)."""
     for a in sorted_atoms(atoms):
         key = predicate_key(a)
         for k in [key, (key, rank)] + [(*key, i, t) for i, t in enumerate(a.args)]:
-            if k not in grown:
-                index[k] = list(index.get(k, ()))
-                grown.add(k)
-            index[k].append(a)
-    return index
+            index.setdefault(k, []).append(a)
 
 
-class IndexedAtoms(frozenset):
-    """A frozenset of atoms carrying one index: each atom is filed by
-    predicate, by (predicate, rank) and by argument position (``_file``).
+class IndexedAtoms(set):
+    """A set of atoms carrying one index: each atom is filed by predicate, by
+    (predicate, rank) and by argument position (``_file``).
 
-    The constructor files its atoms at rank 0.  Set operators return plain
-    frozensets (and ``frozenset(x)`` copies one without the index);
-    ``with_atoms`` is the way to grow an instance while keeping it indexed.
-    The index lists are shared between instances and must not be mutated.
+    The constructor files its atoms at rank 0, and ``grow`` adds atoms in
+    place at a given rank.  The index and its lists belong to this instance
+    alone: ``copy`` copies every list, so growing one instance never changes
+    another.  Set operators return plain sets (and ``frozenset(x)`` copies
+    one without the index).
     """
 
     __slots__ = ("index",)
 
-    def __new__(cls, atoms: Iterable[Atom] = (), index: Optional[dict] = None):
-        self = super().__new__(cls, atoms)
-        self.index = _file({}, self, 0) if index is None else index
-        return self
+    def __init__(self, atoms: Iterable[Atom] = ()):
+        super().__init__(atoms)
+        self.index: dict = {}
+        _file(self.index, self, 0)
 
-    def with_atoms(self, new: frozenset, rank: int) -> "IndexedAtoms":
-        """This set plus ``new``, filed at ``rank``; only the lists the new
-        atoms fall in are copied, and the new atoms are appended to them in
-        sort order, so the lists, and the order a search visits them in, are
-        the same in every process."""
-        new = new - self
-        if not new:
-            return self
-        return IndexedAtoms(self | new, _file(dict(self.index), new, rank))
+    def grow(self, new: Iterable[Atom], rank: int) -> None:
+        """Add the atoms of ``new`` not yet in the set, filed at ``rank``: each
+        is appended to its lists in sort order, so the lists, and the order a
+        search visits them in, are the same in every process."""
+        new = [a for a in new if a not in self]
+        self.update(new)
+        _file(self.index, new, rank)
+
+    def copy(self) -> "IndexedAtoms":
+        other = IndexedAtoms()
+        other.update(self)
+        other.index = {k: list(atoms) for k, atoms in self.index.items()}
+        return other
 
 
 def _is_frozen(term: Term, frozen: frozenset) -> bool:
@@ -98,20 +100,29 @@ class Join:
     nor ``frozen``, in term_sort_key order, the order of
     ``Substitution._key``, so a join's image tuples compare as their
     substitutions do (``image_key``).  The fixed terms sit in the slots after
-    them, each holding itself.  For each join order a plan says, per atom and
-    argument, which slot it must equal (a fixed term or a term bound earlier),
-    which slot it binds, and which slot bound by the same atom it must equal.
+    them: first the ``params``, which ``search`` fills with the terms it is
+    given, then the constants and ``frozen`` terms, each holding itself.  For
+    each join order a plan says, per atom and argument, which slot it must
+    equal (a fixed term or a term bound earlier), which slot it binds, and
+    which slot bound by the same atom it must equal.
     """
 
-    __slots__ = ("atoms", "keys", "movable", "_slots", "_plans")
+    __slots__ = ("atoms", "keys", "movable", "_slots", "_fixed", "_plans")
 
-    def __init__(self, atoms: Iterable[Atom], frozen: frozenset = frozenset()):
+    def __init__(self, atoms: Iterable[Atom], frozen: frozenset = frozenset(),
+                 params: tuple = ()):
         self.atoms = tuple(sorted_atoms(atoms))
         self.keys = tuple(map(predicate_key, self.atoms))
         terms = dict.fromkeys(t for a in self.atoms for t in a.args)
-        fixed = [t for t in terms if _is_frozen(t, frozen)]
+        fixed = list(params) + [t for t in terms
+                                if _is_frozen(t, frozen) and t not in params]
         self.movable = tuple(sorted(terms.keys() - fixed, key=term_sort_key))
         self._slots = list(self.movable) + fixed
+        slot = {t: i for i, t in enumerate(self._slots)}
+        # Per atom, the (position, slot) of each fixed argument.
+        self._fixed = tuple(tuple((i, slot[t]) for i, t in enumerate(a.args)
+                                  if slot[t] >= len(self.movable))
+                            for a in self.atoms)
         self._plans: dict = {}
 
     def _plan(self, order: tuple) -> tuple:
@@ -135,11 +146,12 @@ class Join:
         return tuple(plan)
 
     def matches(self, lists: Sequence[Sequence[Atom]], out: list,
-                first_only: bool = False) -> None:
+                first_only: bool = False, slots: Optional[list] = None) -> None:
         """Append to ``out`` the image tuple of every match of ``atoms[i]``
         onto an atom of ``lists[i]`` for all i (only the first one with
-        ``first_only``), shortest list joined first.  No atoms match once,
-        with the empty tuple."""
+        ``first_only``), shortest list joined first; the fixed slots hold
+        what ``slots`` holds there (by default, their own terms).  No atoms
+        match once, with the empty tuple."""
         if not all(lists):
             return
         order = tuple(sorted(range(len(lists)), key=lambda i: len(lists[i])))
@@ -147,9 +159,27 @@ class Join:
         if plan is None:
             plan = self._plans[order] = self._plan(order)
         if plan:
-            _join(plan, 0, lists, list(self._slots), len(self.movable), out, first_only)
+            _join(plan, 0, lists, list(self._slots if slots is None else slots),
+                  len(self.movable), out, first_only)
         else:
             out.append(())
+
+    def search(self, index: dict, params: tuple = (),
+               first_only: bool = False) -> list:
+        """The image tuples of the matches onto the atoms ``index`` files
+        (an ``IndexedAtoms`` index), with the params' slots holding
+        ``params``.  Each atom's candidates are the shortest of its
+        predicate's list and the position lists of its fixed arguments."""
+        slots = self._slots
+        if params:
+            n = len(self.movable)
+            slots = slots[:n] + list(params) + slots[n + len(params):]
+        lists = [min([index.get(key, ())] +
+                     [index.get((*key, i, slots[s]), ()) for i, s in fixed], key=len)
+                 for key, fixed in zip(self.keys, self._fixed)]
+        out: list = []
+        self.matches(lists, out, first_only, slots)
+        return out
 
     def image_key(self, images: tuple) -> tuple:
         return tuple(map(term_sort_key, images))
@@ -186,24 +216,12 @@ def _join(plan: tuple, depth: int, lists: Sequence[Sequence[Atom]], slots: list,
     return False
 
 
-def _target_lists(join: Join, target: frozenset, frozen: frozenset) -> list:
-    """Each source atom's candidate target atoms: the shortest of its
-    predicate's list and the position lists of its fixed arguments."""
-    if not isinstance(target, IndexedAtoms):
-        target = IndexedAtoms(target)
-    index = target.index
-    return [min([index.get(key, ())] +
-                [index.get((*key, i, t), ()) for i, t in enumerate(a.args)
-                 if _is_frozen(t, frozen)], key=len)
-            for key, a in zip(join.keys, join.atoms)]
-
-
 def _homomorphisms(source: frozenset, target: frozenset, frozen: frozenset,
                    first_only: bool) -> tuple[Join, list]:
+    if not isinstance(target, IndexedAtoms):
+        target = IndexedAtoms(target)
     join = Join(source, frozen)
-    images: list = []
-    join.matches(_target_lists(join, target, frozen), images, first_only)
-    return join, images
+    return join, join.search(target.index, first_only=first_only)
 
 
 def find_homomorphism(source: frozenset, target: frozenset,

@@ -2,7 +2,8 @@
 
 Each rule compiles its own body once, when it is built, into the
 homomorphism matcher (``Rule.join``, a ``homomorphism.Join``), together with
-the head templates and frontier slots the engine's so and r checks read.
+the head templates, the compiled head and the frontier slots the engine's so
+and r checks read.
 """
 
 from __future__ import annotations
@@ -85,10 +86,13 @@ class BodyJoin(Join):
     template is a predicate with slot numbers into the frontier image
     followed by ``head_terms`` (the existential variables and head
     constants), so the engine fills in a trigger's head from its frontier
-    image alone.
+    image alone.  An existential rule's head is also compiled as
+    ``head_join``, a ``Join`` whose params are the frontier variables in
+    ``frontier_order``: the restricted check fills them with a frontier image
+    and searches the factbase for the existential variables' images.
     """
 
-    __slots__ = ("head", "head_terms", "frontier_image")
+    __slots__ = ("head", "head_terms", "head_join", "frontier_image")
 
     def __init__(self, rule: Rule):
         super().__init__(rule.body)
@@ -97,6 +101,8 @@ class BodyJoin(Join):
                                        key=term_sort_key))
         slot = {t: i for i, t in enumerate(rule.frontier_order + self.head_terms)}
         self.head = tuple((a.predicate, tuple(slot[t] for t in a.args)) for a in head)
+        self.head_join = Join(head, params=rule.frontier_order) \
+            if rule.existentials else None
         frontier = [self.movable.index(v) for v in rule.frontier_order]
         # ``engine.frontier_image`` of an image tuple's trigger.  An
         # itemgetter of one index returns a bare item, not a tuple, so fewer

@@ -12,7 +12,9 @@ bit-exact.
 A null's inner terms can be earlier nulls, so its depth grows with the
 derivation.  Terms order by plain tuple keys (``term_sort_key``), never by
 printed strings; a null's key holds the keys of its inner terms, so it is
-built once, at interning, and cached.
+built once, at interning, and cached.  The order of two nulls' inner keys,
+once found, is remembered too (``_inner_less``), so ordering nulls of equal
+depth never walks the same pair of chains twice.
 """
 
 from __future__ import annotations
@@ -74,34 +76,59 @@ class _Inner:
     """The inner terms' keys at the end of a generated null's sort key.  Each
     null builds its key once, so equality is identity, and the other fields
     settle most comparisons in C.  Inner keys nest one level per null depth,
-    so ordering walks them in a loop where tuple comparison would recurse."""
+    so ordering walks them in a loop where tuple comparison would recurse.
+    ``less`` maps each other inner key this one was ordered against to
+    whether this one is smaller (``_inner_less``)."""
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "less")
 
     def __init__(self, keys: tuple):
         self.keys = keys
+        self.less: dict = {}
 
     def __lt__(self, other: "_Inner") -> bool:
-        return _keys_less(self.keys, other.keys)
+        return _inner_less(self, other)
 
     def __gt__(self, other: "_Inner") -> bool:
-        return _keys_less(other.keys, self.keys)
+        return _inner_less(other, self)
 
 
-def _keys_less(a: tuple, b: tuple) -> bool:
-    """``a < b`` in tuple order, descending into the first unequal pair."""
+def _inner_less(x: _Inner, y: _Inner) -> bool:
+    """``x.keys < y.keys`` in tuple order.  Two distinct nulls have unequal
+    keys, and where the first unequal pair is a pair of inner keys, it
+    decides the order of the keys around it.  So every pair of inner keys met
+    on the way down is remembered with the answer, and its reverse with the
+    opposite one; comparing nulls whose inner nulls were compared before, as
+    the trigger sort does on parallel null chains rank after rank, stops at
+    the first remembered pair."""
+    path = []
+    while type(x) is _Inner:
+        known = x.less.get(y)
+        if known is not None:
+            result = known
+            break
+        path.append((x, y))
+        x, y = _first_difference(x.keys, y.keys)
+    else:
+        result = x < y
+    for x, y in path:
+        x.less[y] = result
+        y.less[x] = not result
+    return result
+
+
+def _first_difference(a: tuple, b: tuple) -> tuple:
+    """The first unequal pair of items of ``a`` and ``b``, descending into
+    nested plain tuples; their lengths when one is a prefix of the other."""
     while True:
         for x, y in zip(a, b):
             if x is not y and x != y:
                 break
         else:
-            return len(a) < len(b)
-        if type(x) is _Inner:
-            a, b = x.keys, y.keys
-        elif type(x) is tuple and type(y) is tuple:
-            a, b = x, y
-        else:
-            return x < y
+            return len(a), len(b)
+        if type(x) is not tuple or type(y) is not tuple:
+            return x, y
+        a, b = x, y
 
 
 class Null:

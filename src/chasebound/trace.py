@@ -25,7 +25,6 @@ from .engine import (
     Derivation,
     HaltReason,
     Trigger,
-    name_new_nulls,
     show_atom,
 )
 from .errors import ChaseError, ReplayFailureError, VersionMismatchError
@@ -152,9 +151,9 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
             f"{variant.value!r}, whose nulls are {NAMING_MODE[variant]}-keyed")
     d = Derivation.start(variant, kb)
     # Every term of a valid trigger occurs in the factbase replayed so far, so
-    # terms are looked up by their printed names, which replay assigns to each
-    # step's new nulls as the derivation does.
-    names = dict(d.null_names())
+    # terms are looked up by their printed names, which the derivation
+    # assigns to each step's new nulls as it grows.
+    names = d.null_names()
     terms = {str(t): t for a in kb.factbase for t in a.args}
     for i, step in enumerate(doc["steps"], start=1):
         rule_id = step["rule"]
@@ -164,11 +163,9 @@ def deserialize_trace(text: str) -> tuple[Derivation, Optional[HaltReason]]:
         mapping = {Variable(name, rule_id): terms[text]
                    for name, text in step["substitution"].items()}
         try:
-            d = d.extend(Trigger(rule_id, Substitution(mapping)), check=False)
+            new = d._apply(Trigger(rule_id, Substitution(mapping)))
         except ChaseError as exc:
             raise ReplayFailureError(f"step {i}: {exc}")
-        new = d.steps[-1]
-        name_new_nulls(names, i, new.produced)
         terms.update((names.get(t) or str(t), t) for a in new.produced for t in a.args)
         produced = {show_atom(a, names) for a in new.produced}
         if produced != set(step["produced"]):

@@ -242,6 +242,18 @@ def check_sound_homomorphism(sub, source, target, frozen=frozenset()) -> None:
         "homomorphism moved a frozen term"
 
 
+def oracle_head_check(d: Derivation, rule: Rule, frontier: tuple) -> bool:
+    """Whether the triggers of ``rule`` with frontier image ``frontier`` are
+    r-applicable on ``d``, by the check as first written: the head with the
+    frontier image filled in and the existential variables left as
+    variables has no homomorphism into the factbase (a plain frozenset copy,
+    so no index is read) that keeps the frontier image fixed.  An applied
+    trigger with that frontier image has put such a head image in the
+    factbase, so it needs no separate test."""
+    head = Substitution(zip(rule.frontier_order, frontier)).apply(rule.head)
+    return find_homomorphism(head, frozenset(d.factbase), frozenset(frontier)) is None
+
+
 # -- random knowledge bases -----------------------------------------------------
 
 _CONSTS = [Constant(n) for n in ("a", "b", "c")]

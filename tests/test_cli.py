@@ -416,6 +416,9 @@ def test_importing_the_cli_leaves_the_process_pool_out():
 def test_benchmark_tracer_installs_and_traces_the_cli():
     # perfbench/layers.py rebinds the kernels wherever chasebound imported
     # them by name, and refuses to install when a binding it needs is gone.
+    # The restricted check runs the rule's compiled head, so neither ``run``
+    # nor ``kbounded`` on ex3_exists calls find_homomorphism; the datalog
+    # proof on ex3_pair does.
     perfbench = Path(__file__).resolve().parent.parent / "perfbench"
     script = (
         "import io, sys\n"
@@ -425,20 +428,25 @@ def test_benchmark_tracer_installs_and_traces_the_cli():
         "tracer = layers.Tracer()\n"
         "layers.install(tracer)\n"
         "out = io.StringIO()\n"
+        "names = ('homomorphism.find_homomorphism', 'homomorphism.canonical_form',\n"
+        "         'boundedness.search_factbase')\n"
+        "def called():\n"
+        "    return [tracer.stats[name].calls > 0 for name in names]\n"
         f"print(cli.cli(['run', '--kb', {str(FIXTURES / 'ex1.dlp')!r}, '--variant', 'r',\n"
         "               '--max-steps', '20'], out, out))\n"
         f"print(cli.cli(['kbounded', '--rules', {str(FIXTURES / 'ex3_exists.dlp')!r},\n"
         "               '--variant', 'r', '--k', '1'], out, out))\n"
-        "print([tracer.stats[name].calls > 0 for name in (\n"
-        "    'homomorphism.find_homomorphism', 'homomorphism.canonical_form',\n"
-        "    'boundedness.search_factbase')])\n")
+        "print(called())\n"
+        f"print(cli.cli(['kbounded', '--rules', {str(FIXTURES / 'ex3_pair.dlp')!r},\n"
+        "               '--variant', 'r', '--k', '1'], out, out))\n"
+        "print(called())\n")
     # -B: no bytecode cache is left in perfbench/.
     proc = subprocess.run(
         [sys.executable, "-B", "-c", script],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n0\n[True, True, True]\n"
+    assert proc.stdout == "1\n0\n[False, True, True]\n0\n[True, True, True]\n"
 
 
 def test_usage_error_unknown_subcommand():

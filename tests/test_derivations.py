@@ -194,9 +194,9 @@ def test_state_dedup_preserves_reachable_factbases():
     for name, variant in (("ex5", V.RESTRICTED), ("ex8", V.RESTRICTED),
                           ("ex8", V.EQUIVALENT)):
         kb = load_example(name)
-        pruned = {d.factbase for d in enumerate_breadth_first_derivations(
+        pruned = {frozenset(d.factbase) for d in enumerate_breadth_first_derivations(
             variant, kb, depth_target=3)}
-        assert pruned == {d.factbase for d in oracle_breadth_first_derivations(
+        assert pruned == {frozenset(d.factbase) for d in oracle_breadth_first_derivations(
             variant, kb, depth_target=3)}
 
 

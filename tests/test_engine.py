@@ -13,6 +13,7 @@ from chasebound import (
     enumerate_breadth_first_derivations,
     enumerate_triggers,
     is_applicable,
+    parse_kb,
     run_breadth_first,
     safe_extension,
     verify_derivation,
@@ -25,7 +26,7 @@ from chasebound.errors import (
 )
 from chasebound.homomorphism import IndexedAtoms
 
-from conftest import load_example, trig
+from conftest import EXAMPLE_SOURCES, load_example, trig
 
 V = ChaseVariant
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -270,7 +271,7 @@ def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
     for kb in kbs:
         run = run_breadth_first(V.RESTRICTED, kb, depth_cap=3, step_cap=40).derivation
         d = Derivation.start(V.RESTRICTED, kb)
-        for step in run.steps + (None,):
+        for step in [*run.steps, None]:
             for t in enumerate_triggers(d.factbase, d.ruleset):
                 verdict = engine._applicable(V.RESTRICTED, d, t)
                 assert verdict == reference(d, t), t
@@ -282,6 +283,52 @@ def test_restricted_datalog_fast_path_matches_extension_path(monkeypatch):
             (False, False, False), (False, False, True)} <= set(seen), seen
     monkeypatch.setattr(engine, "_frontier_open", reference_check)
     assert runs() == expected
+
+
+# Heads the compiled restricted check must get right: a repeated frontier
+# variable (H1), a head constant (H2), two frontier variables that p(a,a) maps
+# to one term (H3), a repeated existential shared by two atoms (H4) and an
+# empty frontier (H5).  The s and u facts satisfy some heads from the start.
+HEAD_KB = parse_kb("""
+    p(a,a). p(a,b). p(b,c). q(a). q(b). s(b,b,c). s(b,c,a). u(a,c). u(c,c).
+    [H1] q(X) -> s(X,X,Z).
+    [H2] q(X) -> s(X,c,Z).
+    [H3] p(X,Y) -> s(X,Y,Z).
+    [H4] p(X,Y) -> u(X,Z), u(Z,Z), s(Y,Z,X).
+    [H5] q(X) -> w(Z), u(Z,Z).
+""").kb
+
+
+def test_compiled_head_check_matches_the_find_homomorphism_oracle(monkeypatch):
+    # Every frontier image the restricted chase checks, on every fixture, 30
+    # seeded random KBs and HEAD_KB: the compiled check and the head check as
+    # first written give the same verdict, judged on the derivation as it is
+    # at the call (the runner grows it in place).
+    import random
+
+    import chasebound.engine as engine
+    from oracles import oracle_head_check, random_kb
+
+    check = engine._frontier_open
+    verdicts: dict = {}
+
+    def compared(variant, d, rule, frontier):
+        verdict = check(variant, d, rule, frontier)
+        if variant is V.RESTRICTED:
+            assert verdict == oracle_head_check(d, rule, frontier), (rule, frontier)
+            key = (rule.rule_id, verdict) if d.ruleset is HEAD_KB.ruleset \
+                else (rule.is_datalog, verdict)
+            verdicts[key] = verdicts.get(key, 0) + 1
+        return verdict
+
+    monkeypatch.setattr(engine, "_frontier_open", compared)
+    kbs = [load_example(name) for name in EXAMPLE_SOURCES]
+    kbs += [random_kb(random.Random(seed)) for seed in range(30)]
+    kbs.append(HEAD_KB)
+    for kb in kbs:
+        run_breadth_first(V.RESTRICTED, kb, depth_cap=4, step_cap=40)
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(verdicts)
+    assert {(f"H{i}", v) for i in range(1, 6) for v in (True, False)} <= set(verdicts)
 
 
 def test_restricted_parent_loop_scales_linearly(monkeypatch):

@@ -119,8 +119,8 @@ def test_indexed_target_with_frozen_terms_matches_plain_target_and_brute_force()
                               key=str)
         # Grow the indexed target in two parts, as a derivation does.
         cut = rng.randint(0, len(target_atoms))
-        indexed = IndexedAtoms(target_atoms[:cut]).with_atoms(
-            frozenset(target_atoms[cut:]), 1)
+        indexed = IndexedAtoms(target_atoms[:cut])
+        indexed.grow(target_atoms[cut:], 1)
         plain = frozenset(target_atoms)
         assert indexed == plain
 

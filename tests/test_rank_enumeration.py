@@ -28,10 +28,15 @@ from chasebound import (
     verify_derivation,
 )
 from chasebound import engine
-from chasebound.engine import _applicable, _rank_candidates, frontier_image
-from chasebound.terms import sorted_atoms
+from chasebound.engine import (
+    _applicable,
+    _rank_candidates,
+    frontier_image,
+    name_new_nulls,
+)
+from chasebound.terms import Null, sorted_atoms
 
-from conftest import load_example
+from conftest import EXAMPLE_SOURCES, load_example
 from oracles import (
     oracle_rank_candidates,
     oracle_run_breadth_first,
@@ -134,6 +139,59 @@ def test_carried_index_matches_rebuild():
             assert sorted_lists(d.factbase.index) == fresh_index(d), (i, variant)
             checked += 1
     assert checked > 500
+
+
+def snapshot(d):
+    """Everything a derivation owns, as values that later growth cannot
+    change."""
+    return (frozenset(d.factbase), sorted_lists(d.factbase.index), tuple(d.steps),
+            frozenset(d.applied), {a: d.atom_rank(a) for a in d.factbase},
+            dict(d.null_names()))
+
+
+def check_own_state(d, before):
+    # The state is as recorded, and its index and null names agree with a
+    # rebuild from the steps.
+    assert snapshot(d) == before
+    assert sorted_lists(d.factbase.index) == fresh_index(d)
+    names = {t: str(t) for a in d.initial for t in a.args if isinstance(t, Null)}
+    for i, step in enumerate(d.steps, start=1):
+        name_new_nulls(names, i, step.produced)
+    assert d.null_names() == names
+
+
+def test_extend_leaves_its_receiver_as_it_is():
+    # ``extend`` copies what the derivation owns and ``_apply`` grows a
+    # derivation in place, so a shared container would show here: two
+    # branches from one prefix, one of them grown further in place, and the
+    # prefix, each branch and the grown one must keep their own state.
+    kbs = [load_example(name) for name in EXAMPLE_SOURCES]
+    kbs += [random_kb(random.Random(seed)) for seed in range(20)]
+    checked = 0
+    for kb in kbs:
+        for variant in V:
+            run = run_breadth_first(variant, kb, depth_cap=3, step_cap=12).derivation
+            prefix = list(prefixes(run))[len(run.steps) // 2]
+            open_triggers = [t for t in enumerate_triggers(prefix.factbase, kb.ruleset)
+                             if t not in prefix.applied]
+            if len(open_triggers) < 2:
+                continue
+            before = snapshot(prefix)
+            first = prefix.extend(open_triggers[0], check=False)
+            second = prefix.extend(open_triggers[1], check=False)
+            second_before = snapshot(second)
+            grown = first.extend(open_triggers[1], check=False)
+            grown_before = snapshot(grown)
+            more = [t for t in enumerate_triggers(first.factbase, kb.ruleset)
+                    if t not in first.applied]
+            for t in more[:3]:
+                first._apply(t)
+            check_own_state(prefix, before)
+            check_own_state(second, second_before)
+            check_own_state(grown, grown_before)
+            check_own_state(first, snapshot(first))
+            checked += 1
+    assert checked >= 40, checked
 
 
 def rank_incompatible(derivation):
