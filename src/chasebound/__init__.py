@@ -27,7 +27,6 @@ from .engine import (
     VerifyReport,
     breadth_first_completion,
     enumerate_breadth_first_derivations,
-    enumerate_triggers,
     is_applicable,
     rank_triggers,
     restrict,

@@ -4,11 +4,12 @@ A Derivation owns its containers outright: the factbase, the step log, the
 atom-to-step map, the applied triggers, the frontier images seen and the null
 names.  The private ``_apply`` grows them in place by one step, at the cost
 of that step's own atoms; the engine's loops that hand out no intermediate
-derivation (the runner, restriction, completion, verification and trace
-replay) grow one derivation that way.  The public ``extend`` is pure: it
-copies the containers, index lists included, and applies the step to the
-copy, so the receiver never changes and no two derivations share a
-container.  Branching searches, which keep several derivations alive, use it.
+derivation (the runner, the single-order derivation search, restriction,
+completion, verification and trace replay) grow one derivation that way.
+The public ``extend`` is pure: it copies the containers, index lists
+included, and applies the step to the copy, so the receiver never changes
+and no two derivations share a container.  The branching search, which
+keeps several derivations alive, uses it.
 Atom ranks are fixed at first production; depth is the maximal atom rank, so
 a datalog step whose products already exist never increases depth.  The
 factbase is an ``IndexedAtoms``, whose one index files each atom by
@@ -23,12 +24,10 @@ atom of rank κ-1: the semi-naive delta, read from the rank-(κ-1) buckets.
 Rank is structural, so one rank join serves every variant and every path.  It
 runs each rule's compiled body (``Rule.join``, a ``homomorphism.Join``: the
 matcher every homomorphism search runs on), which yields image tuples;
-``rank_triggers`` turns them all into triggers, and ``enumerate_triggers``
-(all triggers on a whole factbase) stays as the reference it is checked
-against.  A rank's candidate stays a trigger of every later derivation
-(factbases only grow), so the engine's own loops check its applicability
-without re-checking that its body embeds; ``is_applicable`` keeps that check
-for triggers from outside.
+``rank_triggers`` turns them all into triggers.  A rank's candidate stays a
+trigger of every later derivation (factbases only grow), so the engine's own
+loops check its applicability without re-checking that its body embeds;
+``is_applicable`` keeps that check for triggers from outside.
 
 For the oblivious, semi-oblivious and restricted chases non-applicability is
 monotone: a trigger that is not applicable stays so as the derivation grows.
@@ -41,6 +40,8 @@ the rule's compiled head with that image filled in; no null is minted for a
 trigger that is never applied.  The equivalent chase is not monotone (a
 trigger can wake up again), so it keeps every unapplied candidate, looks at
 every rank and rescans a rank's candidates from the start after each step.
+One loop (``_grow``) applies a rank's candidates along one order, in place:
+it is the runner, and the derivation search wherever one order suffices.
 
 Null naming follows the derivation's variant: trigger-keyed nulls for the
 oblivious/restricted/equivalent chases, frontier-keyed nulls for the
@@ -67,7 +68,8 @@ from .errors import (
     UnknownTriggerError,
     VariantUnsupportedError,
 )
-from .homomorphism import IndexedAtoms, all_homomorphisms, find_homomorphism
+# ``all_homomorphisms`` is unused here; perfbench/layers.py needs the binding.
+from .homomorphism import IndexedAtoms, all_homomorphisms, find_homomorphism  # noqa: F401
 from .rules import KnowledgeBase, Rule, RuleSet
 from .terms import Atom, Null, Substitution
 
@@ -163,8 +165,8 @@ class Derivation:
                  "_step_of", "_depth", "applied", "_frontier_seen", "_null_names")
 
     def __init__(self, variant: ChaseVariant, ruleset: RuleSet, initial: frozenset,
-                 steps: tuple, factbase: IndexedAtoms, step_of: dict, depth: int,
-                 applied: frozenset, frontier_seen: frozenset):
+                 steps: list, factbase: IndexedAtoms, step_of: dict, depth: int,
+                 applied: set, frontier_seen: set):
         self.variant = variant
         self.ruleset = ruleset
         self.initial = initial
@@ -334,15 +336,6 @@ class Derivation:
 
 
 # -- trigger enumeration and applicability ---------------------------------
-
-
-def enumerate_triggers(factbase: frozenset, rs: RuleSet) -> list[Trigger]:
-    """All triggers of all rules on the factbase, sorted by trigger_sort_key.
-
-    The whole-factbase reference: the engine enumerates rank by rank through
-    ``rank_triggers``, which the tests check against this."""
-    return [Trigger(rule.rule_id, pi)
-            for rule in rs for pi in all_homomorphisms(rule.body, factbase)]
 
 
 def _rank_images(d: Derivation, kappa: int) -> Iterator[tuple[Rule, list[tuple]]]:
@@ -540,8 +533,7 @@ def _applicable_new_triggers(variant: ChaseVariant, d: Derivation,
                              ranks: Optional[Iterable[int]] = None
                              ) -> list[tuple[int, Trigger]]:
     """Every unapplied applicable trigger of ``ranks`` (by default, of any
-    rank), with its rank, in trigger_sort_key order (the order of
-    ``enumerate_triggers``)."""
+    rank), with its rank, in trigger_sort_key order."""
     if ranks is None:
         ranks = range(1, d.depth() + 2)
     ranked = [(kappa, t) for kappa in ranks for t in _open_triggers(variant, d, kappa)]
@@ -678,6 +670,40 @@ class ChaseResult(NamedTuple):
     halt_reason: HaltReason
 
 
+def _grow(variant: ChaseVariant, d: Derivation, rng: Optional[random.Random], budget: Budget,
+          depth_cap: float, step_cap: float) -> tuple[HaltReason, Optional[Trigger]]:
+    """Grow ``d`` in place along one breadth-first order: each rank's
+    candidates in canonical order, or shuffled by ``rng``, re-checking
+    applicability before each step.  Stop before the step past ``step_cap``
+    or the first step of a rank past ``depth_cap`` that adds an atom; return
+    the halt reason and that untaken depth-cap trigger.  One budget step is
+    spent before each rank's candidates and one before each pick."""
+    while True:
+        budget.spend_step()
+        # The shuffle takes as many draws as the list has triggers, so a
+        # random run shuffles every unapplied trigger of the rank.
+        kappa, candidates = _rank_candidates(variant, d, keep_all=rng is not None)
+        if kappa is None:
+            return HaltReason.TERMINATED, None
+        if rng is not None:
+            rng.shuffle(candidates)
+        # A skipped o/so/r candidate stays inapplicable, so the pass goes on
+        # after the last pick; an equivalent-chase trigger may wake back up,
+        # so the E pass restarts at the first candidate.
+        i = _next_applicable(variant, d, candidates)
+        while i is not None:
+            budget.spend_step()
+            if len(d.steps) >= step_cap:
+                return HaltReason.STEP_CAP, None
+            t = candidates[i]
+            if kappa > depth_cap:
+                rule = d._rule(t)
+                if safe_extension(t, rule, d.variant).apply(rule.head) - d.factbase:
+                    return HaltReason.DEPTH_CAP, t
+            d._apply(t)
+            i = _next_applicable(variant, d, candidates, i + 1)
+
+
 def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
                       policy: str = "det", seed: Optional[int] = None,
                       depth_cap: int = 1_000_000, step_cap: int = 1_000_000) -> ChaseResult:
@@ -687,97 +713,69 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     seeded-random), re-checking applicability before each application; the
     rank advances once exhausted.  Halts with DEPTH_CAP the moment a new atom
     of rank depth_cap+1 would be created, with STEP_CAP when one more step
-    would exceed the step budget.  The derivation grows in place; a step of
-    a rank past the depth cap is taken on a copy (``extend``), so the
-    derivation from before it can still be returned.
+    would exceed the step budget.  The derivation grows in place (``_grow``).
     """
     if depth_cap < 1 or step_cap < 1:
         raise ChaseError("caps must be >= 1")
     rng = random.Random(seed) if policy == "random" else None
     d = Derivation.start(variant, kb)
-    while True:
-        # The shuffle takes as many draws as the list has triggers, so a
-        # random run shuffles every unapplied trigger of the rank.
-        kappa, candidates = _rank_candidates(variant, d, keep_all=rng is not None)
-        if kappa is None:
-            return ChaseResult(d, HaltReason.TERMINATED)
-        if rng is not None:
-            rng.shuffle(candidates)
-        # Applicability is re-evaluated before each application, since order
-        # matters for R/E.  A skipped o/so/r candidate stays inapplicable, so
-        # the pass goes on after the last pick; an equivalent-chase trigger
-        # may wake back up, so the E pass restarts at the first candidate.
-        i = _next_applicable(variant, d, candidates)
-        while i is not None:
-            if len(d.steps) >= step_cap:
-                return ChaseResult(d, HaltReason.STEP_CAP)
-            if kappa <= depth_cap:
-                d._apply(candidates[i])
-            else:
-                d2 = d.extend(candidates[i], check=False)
-                if d2.steps[-1].produced:
-                    return ChaseResult(d, HaltReason.DEPTH_CAP)
-                d = d2
-            i = _next_applicable(variant, d, candidates, i + 1)
+    halt, _ = _grow(variant, d, rng, Budget(), depth_cap, step_cap)
+    return ChaseResult(d, halt)
 
 
 def enumerate_breadth_first_derivations(
         variant: ChaseVariant, kb: KnowledgeBase, depth_target: int,
         budget: Optional[Budget] = None) -> Iterator[Derivation]:
-    """Depth-first search over per-rank trigger orderings.
+    """The breadth-first derivations that terminate or create a new atom of
+    rank ``depth_target`` (a derivation stops right there).
 
-    Yields each branch when it either terminates or creates a new atom of rank
-    ``depth_target`` (the branch stops right there).  For the oblivious and
-    semi-oblivious chases the within-rank order does not affect the resulting
-    factbase, so a single canonical order is explored; the same holds for the
-    restricted chase on a datalog ruleset (every product of a rank's candidate
-    ends up in the factbase whatever the order).  Otherwise all within-rank
-    orders are explored, pruned by already-visited sets of applied triggers.
-    A single order adds one trigger per step, so it never revisits a state
-    and keeps no such set.
+    For the oblivious and semi-oblivious chases the within-rank order does
+    not affect the resulting factbase, and the same holds for the restricted
+    chase on a datalog ruleset (every product of a rank's candidate ends up
+    in the factbase whatever the order).  There the one canonical order is
+    grown in place by the runner's loop (``_grow``) and yielded.  Otherwise
+    a depth-first search explores all within-rank orders, copying each child
+    through ``extend`` and pruning already-visited sets of applied triggers.
     """
     if depth_target < 1:
         raise ChaseError("depth_target must be >= 1")
-    rs = kb.ruleset
-    branch_orders = variant in (ChaseVariant.RESTRICTED, ChaseVariant.EQUIVALENT) \
-        and not (variant is ChaseVariant.RESTRICTED and rs.is_datalog)
     budget = budget or Budget()
+    if variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS) or (
+            variant is ChaseVariant.RESTRICTED and kb.ruleset.is_datalog):
+        d = Derivation.start(variant, kb)
+        _, crossing = _grow(variant, d, None, budget, depth_target - 1, float("inf"))
+        if crossing is not None:
+            d._apply(crossing)
+        yield d
+        return
     seen: set = set()
 
-    def expand(d: Derivation, kappa: Optional[int], candidates: list[Trigger],
-               start: int) -> Iterator:
+    def expand(d: Derivation, kappa: int, candidates: list[Trigger]) -> Iterator:
         # One search node.  Yields, in visiting order, each derivation to hand
-        # out and the (d, kappa, candidates, start) of each child node, which
-        # is searched before the next item.  A child comes from a choice
-        # (trigger, where the child's scan starts): a branch may pick any
-        # applicable candidate and rescans from the first, a single canonical
-        # order goes on after its pick.
+        # out and the (d, kappa, candidates) of each child node, which is
+        # searched before the next item.  A child picks any applicable
+        # candidate; its own scan starts from the first again.
         budget.spend_step()
-        if branch_orders:
-            choices = [(t, 0) for t in candidates if _applicable(variant, d, t)]
-        else:
-            i = _next_applicable(variant, d, candidates, start)
-            choices = [] if i is None else [(candidates[i], i + 1)]
+        choices = [t for t in candidates if _applicable(variant, d, t)]
         if not choices:
             # Rank exhausted: move to the next rank with applicable triggers.
             kappa2, candidates2 = _rank_candidates(variant, d)
-            yield d if kappa2 is None else (d, kappa2, candidates2, 0)
+            yield d if kappa2 is None else (d, kappa2, candidates2)
             return
-        for t, next_start in choices:
+        for t in choices:
             d2 = d.extend(t, check=False)
-            if branch_orders:
-                state = frozenset(d2.applied)
-                if state in seen:
-                    continue
-                seen.add(state)
-            if kappa is not None and kappa >= depth_target and d2.steps[-1].produced:
+            state = frozenset(d2.applied)
+            if state in seen:
+                continue
+            seen.add(state)
+            if kappa >= depth_target and d2.steps[-1].produced:
                 yield d2
             else:
-                yield d2, kappa, candidates, next_start
+                yield d2, kappa, candidates
 
     # Depth-first with a stack of lazy nodes, not recursion: a branch is as
     # deep as its step count.
-    stack = [expand(Derivation.start(variant, kb), None, [], 0)]
+    stack = [expand(Derivation.start(variant, kb), 0, [])]
     while stack:
         item = next(stack[-1], None)
         if item is None:

@@ -25,11 +25,12 @@ from chasebound import (
     RuleSet,
     Substitution,
     Term,
+    Trigger,
     UnknownTriggerError,
     Variable,
     VerifyReport,
+    all_homomorphisms,
     deserialize_trace,
-    enumerate_triggers,
     find_homomorphism,
     is_applicable,
     parse_kb,
@@ -501,6 +502,13 @@ def bounded_run(variant: ChaseVariant, kb: KnowledgeBase, depth_cap: int = 3,
 
 
 # -- full-rescan references for the engine's rank-by-rank paths ----------------
+
+
+def enumerate_triggers(factbase: frozenset, rs: RuleSet) -> list[Trigger]:
+    """All triggers of all rules on the whole factbase, in trigger_sort_key
+    order: the reference ``rank_triggers`` is checked against."""
+    return [Trigger(rule.rule_id, pi)
+            for rule in rs for pi in all_homomorphisms(rule.body, factbase)]
 
 
 def oracle_applicable_new_triggers(variant: ChaseVariant,

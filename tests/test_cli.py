@@ -567,19 +567,24 @@ def test_run_kb_not_utf8_is_read_error(tmp_path):
     assert err.startswith(f"error: cannot read {kb}: ") and not out
 
 
-def test_kbounded_canonical_budget_exits_3():
+@pytest.mark.parametrize("variant, total, derivations", [
+    ("r", 14556, 479), ("o", 13729, 232), ("so", 13552, 232)], ids=["r", "o", "so"])
+def test_kbounded_canonical_budget_exits_3(variant, total, derivations):
     # --budget-steps counts every search node, canonical-form nodes included:
-    # the run takes 14,556 steps, of which 11,310 are canonical_form's, 1,360
-    # the enumeration's and 1,886 the derivation search's.
+    # at r the run takes 14,556 steps, of which 11,310 are canonical_form's,
+    # 1,360 the enumeration's and 1,886 the derivation search's.  Under o and
+    # so the search grows one order per factbase, spending a step before
+    # each rank's candidates and before each pick.
     argv = ["kbounded", "--rules", str(FIXTURES / "ex3_exists.dlp"),
-            "--variant", "r", "--k", "1", "--budget-steps"]
-    code, out, err = run_cli(argv + ["14555"])
+            "--variant", variant, "--k", "1", "--budget-steps"]
+    code, out, err = run_cli(argv + [str(total - 1)])
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == \
-        "budget exceeded: steps limit reached after 14556 steps / 231 items"
-    code, out, _ = run_cli(argv + ["14556"])
+        f"budget exceeded: steps limit reached after {total} steps / 231 items"
+    code, out, _ = run_cli(argv + [str(total)])
     assert code == 0 and out.endswith(
-        "bounded: true\nfactbases_examined: 232\nderivations_examined: 479\n")
+        "bounded: true\nfactbases_examined: 232\n"
+        f"derivations_examined: {derivations}\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

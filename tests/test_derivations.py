@@ -20,7 +20,7 @@ from chasebound.errors import (
 )
 from chasebound.terms import atom, terms_of
 
-from conftest import load_example, trig
+from conftest import EXAMPLE_SOURCES, load_example, trig
 from oracles import oracle_breadth_first_derivations
 
 V = ChaseVariant
@@ -208,6 +208,40 @@ def test_datalog_enumeration_is_single_branch():
                                                            depth_target=5))
         assert len(results) == 1
         assert verify_derivation(variant, results[0]).is_terminating
+
+
+def test_single_order_search_is_the_runner_grown_in_place(monkeypatch):
+    # Where one within-rank order suffices (o, so, and r on datalog rules)
+    # the search grows one derivation in place, as the runner does: no step
+    # copies it through ``extend``.
+    calls = []
+    extend = Derivation.extend
+    monkeypatch.setattr(Derivation, "extend",
+                        lambda self, *args, **kw: calls.append(1) or extend(self, *args, **kw))
+    for variant in (V.OBLIVIOUS, V.SEMI_OBLIVIOUS):
+        (d,) = enumerate_breadth_first_derivations(variant, load_example("ex1"),
+                                                   depth_target=200)
+        assert d.depth() == 200
+    assert calls == []
+    monkeypatch.undo()
+
+    # It takes the runner's steps: up to the run's depth-cap stop, plus the
+    # step that creates the first atom of rank ``depth_target``.
+    cases = [(name, variant) for name in EXAMPLE_SOURCES
+             for variant in (V.OBLIVIOUS, V.SEMI_OBLIVIOUS)]
+    cases += [(name, V.RESTRICTED) for name in EXAMPLE_SOURCES
+              if load_example(name).ruleset.is_datalog]
+    for name, variant in cases:
+        kb = load_example(name)
+        for depth_target in (2, 3, 4):
+            (d,) = enumerate_breadth_first_derivations(variant, kb, depth_target)
+            run = run_breadth_first(variant, kb, depth_cap=depth_target - 1)
+            if run.halt_reason is HaltReason.DEPTH_CAP:
+                assert d.triggers()[:-1] == run.derivation.triggers()
+                assert d.steps[-1].produced and d.depth() == depth_target
+            else:
+                assert run.halt_reason is HaltReason.TERMINATED
+                assert d.triggers() == run.derivation.triggers()
 
 
 # -- heredity: examples 9 and 10 ----------------------------------------------

@@ -11,7 +11,6 @@ from chasebound import (
     VerifyReport,
     atom,
     enumerate_breadth_first_derivations,
-    enumerate_triggers,
     is_applicable,
     parse_kb,
     run_breadth_first,
@@ -27,6 +26,7 @@ from chasebound.errors import (
 from chasebound.homomorphism import IndexedAtoms
 
 from conftest import EXAMPLE_SOURCES, load_example, trig
+from oracles import enumerate_triggers
 
 V = ChaseVariant
 a, b, c = Constant("a"), Constant("b"), Constant("c")

@@ -5,7 +5,7 @@ one rank at a time through ``rank_triggers`` and search the factbase through
 its carried index; the runner makes one forward pass over a rank's candidates
 (the equivalent chase rescans them).  Each of these is checked here against
 the whole-factbase computation it replaces (``oracles.oracle_*``,
-``enumerate_triggers``, a fresh ``sorted_atoms`` index).
+``oracles.enumerate_triggers``, a fresh ``sorted_atoms`` index).
 """
 
 import itertools
@@ -18,7 +18,6 @@ from chasebound import (
     KnowledgeBase,
     Rule,
     RuleSet,
-    enumerate_triggers,
     is_applicable,
     parse_atom,
     parse_kb,
@@ -38,6 +37,7 @@ from chasebound.terms import Null, sorted_atoms
 
 from conftest import EXAMPLE_SOURCES, load_example
 from oracles import (
+    enumerate_triggers,
     oracle_rank_candidates,
     oracle_run_breadth_first,
     oracle_verify_derivation,
