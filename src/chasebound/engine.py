@@ -3,13 +3,13 @@
 A Derivation owns its containers outright: the factbase, the step log, the
 atom-to-step map, the applied triggers, the frontier images seen and the null
 names.  The private ``_apply`` grows them in place by one step, at the cost
-of that step's own atoms; the engine's loops that hand out no intermediate
-derivation (the runner, the single-order derivation search, restriction,
-completion, verification and trace replay) grow one derivation that way.
-The public ``extend`` is pure: it copies the containers, index lists
-included, and applies the step to the copy, so the receiver never changes
-and no two derivations share a container.  The branching search, which
-keeps several derivations alive, uses it.
+of that step's own atoms, and ``_undo`` takes the last step back.  Every
+engine loop (the runner, the derivation search, restriction, completion,
+verification and trace replay) grows one derivation that way; the branching
+derivation search steps back with ``_undo`` and copies only the
+derivations it hands out.  The public ``extend`` is pure: it copies the
+containers, index lists included, and applies the step to the copy, so the
+receiver never changes and no two derivations share a container.
 Atom ranks are fixed at first production; depth is the maximal atom rank, so
 a datalog step whose products already exist never increases depth.  The
 factbase is an ``IndexedAtoms``, whose one index files each atom by
@@ -166,7 +166,7 @@ class Derivation:
 
     def __init__(self, variant: ChaseVariant, ruleset: RuleSet, initial: frozenset,
                  steps: list, factbase: IndexedAtoms, step_of: dict, depth: int,
-                 applied: set, frontier_seen: set):
+                 applied: set, frontier_seen: dict):
         self.variant = variant
         self.ruleset = ruleset
         self.initial = initial
@@ -182,7 +182,7 @@ class Derivation:
     def start(cls, variant: ChaseVariant, kb: KnowledgeBase) -> "Derivation":
         initial = frozenset(kb.factbase)
         return cls(variant, kb.ruleset, initial, [], IndexedAtoms(initial), {}, 0,
-                   set(), set())
+                   set(), {})
 
     # -- queries ----------------------------------------------------------
 
@@ -294,7 +294,7 @@ class Derivation:
 
     def extend(self, trigger: Trigger, check: bool = True) -> "Derivation":
         """A new derivation: this one plus one immediate derivation step.
-        This one is left as it is.
+        This one is left as it is; the engine's own loops grow in place.
 
         With ``check`` the variant's applicability condition is enforced
         (NotApplicableError otherwise); restriction replay disables it because
@@ -303,12 +303,15 @@ class Derivation:
         if check and not is_applicable(self.variant, self, trigger):
             raise NotApplicableError(f"trigger {self.show(trigger)} is not "
                                      f"{self.variant.value}-applicable")
+        d = self._copy()
+        d._apply(trigger)
+        return d
+
+    def _copy(self) -> "Derivation":
         d = Derivation(self.variant, self.ruleset, self.initial, list(self.steps),
                        self.factbase.copy(), dict(self._step_of), self._depth,
-                       set(self.applied), set(self._frontier_seen))
-        if self._null_names is not None:
-            d._null_names = dict(self._null_names)
-        d._apply(trigger)
+                       set(self.applied), dict(self._frontier_seen))
+        d._null_names = None if self._null_names is None else dict(self._null_names)
         return d
 
     def _apply(self, trigger: Trigger) -> DerivationStep:
@@ -329,10 +332,26 @@ class Derivation:
         if produced:
             self._depth = max(self._depth, trank)
         self.applied.add(trigger)
-        self._frontier_seen.add((rule.rule_id, frontier_image(rule, trigger.pi)))
+        self._frontier_seen.setdefault((rule.rule_id, frontier_image(rule, trigger.pi)), step)
         if self._null_names is not None:
             name_new_nulls(self._null_names, len(self.steps), produced)
         return step
+
+    def _undo(self) -> None:
+        """Take the last step back in place: the exact inverse of ``_apply``.
+        A frontier image stays seen while the step that added it remains."""
+        step = self.steps.pop()
+        self.factbase.shrink(step.produced, step.trigger_rank)
+        for a in step.produced:
+            del self._step_of[a]
+        if step.produced and step.trigger_rank == self._depth:
+            self._depth = max((s.trigger_rank for s in self.steps if s.produced), default=0)
+        self.applied.remove(step.trigger)
+        rule = self._rule(step.trigger)
+        key = (rule.rule_id, frontier_image(rule, step.trigger.pi))
+        if self._frontier_seen[key] is step:
+            del self._frontier_seen[key]
+        self._null_names = None
 
 
 # -- trigger enumeration and applicability ---------------------------------
@@ -671,20 +690,20 @@ class ChaseResult(NamedTuple):
 
 
 def _grow(variant: ChaseVariant, d: Derivation, rng: Optional[random.Random], budget: Budget,
-          depth_cap: float, step_cap: float) -> tuple[HaltReason, Optional[Trigger]]:
+          depth_cap: float, step_cap: float) -> HaltReason:
     """Grow ``d`` in place along one breadth-first order: each rank's
     candidates in canonical order, or shuffled by ``rng``, re-checking
-    applicability before each step.  Stop before the step past ``step_cap``
-    or the first step of a rank past ``depth_cap`` that adds an atom; return
-    the halt reason and that untaken depth-cap trigger.  One budget step is
-    spent before each rank's candidates and one before each pick."""
+    applicability before each step.  Stop before the step past ``step_cap``,
+    or right after the first step of a rank past ``depth_cap`` that adds an
+    atom, and return the halt reason.  One budget step is spent before each
+    rank's candidates and one before each pick."""
     while True:
         budget.spend_step()
         # The shuffle takes as many draws as the list has triggers, so a
         # random run shuffles every unapplied trigger of the rank.
         kappa, candidates = _rank_candidates(variant, d, keep_all=rng is not None)
         if kappa is None:
-            return HaltReason.TERMINATED, None
+            return HaltReason.TERMINATED
         if rng is not None:
             rng.shuffle(candidates)
         # A skipped o/so/r candidate stays inapplicable, so the pass goes on
@@ -694,13 +713,9 @@ def _grow(variant: ChaseVariant, d: Derivation, rng: Optional[random.Random], bu
         while i is not None:
             budget.spend_step()
             if len(d.steps) >= step_cap:
-                return HaltReason.STEP_CAP, None
-            t = candidates[i]
-            if kappa > depth_cap:
-                rule = d._rule(t)
-                if safe_extension(t, rule, d.variant).apply(rule.head) - d.factbase:
-                    return HaltReason.DEPTH_CAP, t
-            d._apply(t)
+                return HaltReason.STEP_CAP
+            if d._apply(candidates[i]).produced and kappa > depth_cap:
+                return HaltReason.DEPTH_CAP
             i = _next_applicable(variant, d, candidates, i + 1)
 
 
@@ -713,13 +728,16 @@ def run_breadth_first(variant: ChaseVariant, kb: KnowledgeBase,
     seeded-random), re-checking applicability before each application; the
     rank advances once exhausted.  Halts with DEPTH_CAP the moment a new atom
     of rank depth_cap+1 would be created, with STEP_CAP when one more step
-    would exceed the step budget.  The derivation grows in place (``_grow``).
+    would exceed the step budget.  ``_grow`` grows it in place; a depth-cap
+    stop then takes back (``_undo``) the step that crossed the cap.
     """
     if depth_cap < 1 or step_cap < 1:
         raise ChaseError("caps must be >= 1")
     rng = random.Random(seed) if policy == "random" else None
     d = Derivation.start(variant, kb)
-    halt, _ = _grow(variant, d, rng, Budget(), depth_cap, step_cap)
+    halt = _grow(variant, d, rng, Budget(), depth_cap, step_cap)
+    if halt is HaltReason.DEPTH_CAP:
+        d._undo()
     return ChaseResult(d, halt)
 
 
@@ -734,48 +752,48 @@ def enumerate_breadth_first_derivations(
     chase on a datalog ruleset (every product of a rank's candidate ends up
     in the factbase whatever the order).  There the one canonical order is
     grown in place by the runner's loop (``_grow``) and yielded.  Otherwise
-    a depth-first search explores all within-rank orders, copying each child
-    through ``extend`` and pruning already-visited sets of applied triggers.
+    a depth-first search on one derivation explores all within-rank orders,
+    stepping back with ``_undo``, pruning already-visited sets of applied
+    triggers and copying only the derivations it yields.
     """
     if depth_target < 1:
         raise ChaseError("depth_target must be >= 1")
     budget = budget or Budget()
+    d = Derivation.start(variant, kb)
     if variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS) or (
             variant is ChaseVariant.RESTRICTED and kb.ruleset.is_datalog):
-        d = Derivation.start(variant, kb)
-        _, crossing = _grow(variant, d, None, budget, depth_target - 1, float("inf"))
-        if crossing is not None:
-            d._apply(crossing)
+        _grow(variant, d, None, budget, depth_target - 1, float("inf"))
         yield d
         return
     seen: set = set()
 
-    def expand(d: Derivation, kappa: int, candidates: list[Trigger]) -> Iterator:
-        # One search node.  Yields, in visiting order, each derivation to hand
-        # out and the (d, kappa, candidates) of each child node, which is
-        # searched before the next item.  A child picks any applicable
-        # candidate; its own scan starts from the first again.
+    def expand(kappa: int, candidates: list[Trigger]) -> Iterator:
+        # One search node on ``d``.  Yields, in visiting order, a copy of each
+        # derivation to hand out and the (kappa, candidates) of each child
+        # node, searched on ``d`` with its step applied before the next item.
+        # A child picks any applicable candidate; its scan starts again at 0.
         budget.spend_step()
         choices = [t for t in candidates if _applicable(variant, d, t)]
         if not choices:
             # Rank exhausted: move to the next rank with applicable triggers.
             kappa2, candidates2 = _rank_candidates(variant, d)
-            yield d if kappa2 is None else (d, kappa2, candidates2)
+            yield d._copy() if kappa2 is None else (kappa2, candidates2)
             return
         for t in choices:
-            d2 = d.extend(t, check=False)
-            state = frozenset(d2.applied)
+            state = frozenset(d.applied).union((t,))
             if state in seen:
                 continue
             seen.add(state)
-            if kappa >= depth_target and d2.steps[-1].produced:
-                yield d2
+            d._apply(t)
+            if kappa >= depth_target and d.steps[-1].produced:
+                yield d._copy()
             else:
-                yield d2, kappa, candidates
+                yield kappa, candidates
+            d._undo()
 
     # Depth-first with a stack of lazy nodes, not recursion: a branch is as
     # deep as its step count.
-    stack = [expand(Derivation.start(variant, kb), 0, [])]
+    stack = [expand(0, [])]
     while stack:
         item = next(stack[-1], None)
         if item is None:

@@ -17,17 +17,18 @@ is filed under (predicate, arity), under ((predicate, arity), rank) and under
 the shortest of its predicate's list and the position lists of its fixed
 arguments, so the restricted chase's check, whose frontier image is fixed,
 looks only at atoms that share it.  A chase derivation's factbase is one,
-grown in place step by step by appending the new atoms at their rank, and
-the engine's rank join reads the rank lists; any other target is indexed
-afresh (at rank 0) on every call.  Every instance owns its index lists:
-``IndexedAtoms.copy`` copies them, so nothing grows a list another instance
-reads.  An index list is a search structure, not an output: what a search
-returns in an order (``all_homomorphisms``) is sorted on the way out.
+grown in place step by step by appending the new atoms at their rank (a
+search steps back by popping them), and the engine's rank join reads the
+rank lists; any other target is indexed afresh (at rank 0) on every call.
+Every instance owns its index lists: ``IndexedAtoms.copy`` copies them, so
+nothing changes a list another instance reads.  An index list is a search
+structure, not an output: what a search returns in an order
+(``all_homomorphisms``) is sorted on the way out.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .budget import Budget
 from .terms import (
@@ -44,13 +45,17 @@ def predicate_key(a: Atom) -> tuple[str, int]:
     return a.predicate, len(a.args)
 
 
+def _keys(a: Atom, rank: int) -> list:
+    """(predicate, arity), ((predicate, arity), rank) and, per argument,
+    (predicate, arity, position, term): the index keys of ``a`` at ``rank``."""
+    key = predicate_key(a)
+    return [key, (key, rank)] + [(*key, i, t) for i, t in enumerate(a.args)]
+
+
 def _file(index: dict, atoms: Iterable[Atom], rank: int) -> None:
-    """Append ``atoms`` to ``index`` in sort order, each under (predicate,
-    arity), ((predicate, arity), rank) and, per argument, (predicate, arity,
-    position, term)."""
+    """Append ``atoms`` to ``index`` in sort order, each under its ``_keys``."""
     for a in sorted_atoms(atoms):
-        key = predicate_key(a)
-        for k in [key, (key, rank)] + [(*key, i, t) for i, t in enumerate(a.args)]:
+        for k in _keys(a, rank):
             index.setdefault(k, []).append(a)
 
 
@@ -58,11 +63,11 @@ class IndexedAtoms(set):
     """A set of atoms carrying one index: each atom is filed by predicate, by
     (predicate, rank) and by argument position (``_file``).
 
-    The constructor files its atoms at rank 0, and ``grow`` adds atoms in
-    place at a given rank.  The index and its lists belong to this instance
-    alone: ``copy`` copies every list, so growing one instance never changes
-    another.  Set operators return plain sets (and ``frozenset(x)`` copies
-    one without the index).
+    The constructor files its atoms at rank 0, ``grow`` adds atoms in place
+    at a given rank, and ``shrink`` takes the last ``grow`` back.  The index
+    and its lists belong to this instance alone: ``copy`` copies every list,
+    so growing one instance never changes another.  Set operators return
+    plain sets (and ``frozenset(x)`` copies one without the index).
     """
 
     __slots__ = ("index",)
@@ -72,13 +77,22 @@ class IndexedAtoms(set):
         self.index: dict = {}
         _file(self.index, self, 0)
 
-    def grow(self, new: Iterable[Atom], rank: int) -> None:
-        """Add the atoms of ``new`` not yet in the set, filed at ``rank``: each
-        is appended to its lists in sort order, so the lists, and the order a
-        search visits them in, are the same in every process."""
-        new = [a for a in new if a not in self]
+    def grow(self, new: Collection[Atom], rank: int) -> None:
+        """Add the atoms of ``new``, none of them in the set yet, at ``rank``:
+        each is appended to its lists in sort order, so the lists, and the
+        order a search visits them in, are the same in every process."""
         self.update(new)
         _file(self.index, new, rank)
+
+    def shrink(self, atoms: Collection[Atom], rank: int) -> None:
+        """Undo the last ``grow(atoms, rank)``: pop each atom off the end of
+        its lists, in reverse sort order, and drop the lists left empty."""
+        self.difference_update(atoms)
+        for a in reversed(sorted_atoms(atoms)):
+            for k in _keys(a, rank):
+                self.index[k].pop()
+                if not self.index[k]:
+                    del self.index[k]
 
     def copy(self) -> "IndexedAtoms":
         other = IndexedAtoms()

@@ -654,6 +654,36 @@ def test_time_budget_holds_at_large_k_in_bounded_memory(jobs):
             os.killpg(proc.pid, 0)
 
 
+def test_branching_search_runs_deep_in_bounded_memory():
+    # The branching derivation search (r on existential rules) grows one
+    # derivation and steps back, copying only the derivations it yields.  A
+    # copy per child would hold every prefix of a 2,000-step branch, with its
+    # index lists: quadratic memory, past a 1 GiB address space.
+    import resource
+    import signal
+    import time
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chasebound.cli", "kbounded",
+         "--rules", str(FIXTURES / "ex1.dlp"), "--variant", "r", "--k", "2000"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True, preexec_fn=limit_memory)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 1, err
+    assert "bounded: false" in out.splitlines()
+    assert time.monotonic() - start < 5.0
+
+
 @pytest.mark.parametrize("command", ["verify", "restrict"])
 @pytest.mark.parametrize("levels", [300, 1500])
 def test_deep_unknown_null_in_substitution_is_replay_failure(

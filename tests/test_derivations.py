@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from chasebound import (
@@ -12,6 +15,7 @@ from chasebound import (
     run_breadth_first,
     verify_derivation,
 )
+from chasebound.boundedness import enumerate_representative_factbases
 from chasebound.engine import safe_extension
 from chasebound.errors import (
     KeepNotSubsetError,
@@ -21,7 +25,7 @@ from chasebound.errors import (
 from chasebound.terms import atom, terms_of
 
 from conftest import EXAMPLE_SOURCES, load_example, trig
-from oracles import oracle_breadth_first_derivations
+from oracles import oracle_applicable_new_triggers, oracle_breadth_first_derivations, random_kb
 
 V = ChaseVariant
 a, b, c = Constant("a"), Constant("b"), Constant("c")
@@ -109,6 +113,37 @@ def test_example7_depths():
     assert empty.depth() == 0
 
 
+def test_undo_is_the_exact_inverse_of_apply():
+    # Along a random applicable path, applying and then undoing a step leaves
+    # every container as it was, index list order included.  Under o two
+    # frontier-equal triggers can both be applied: undoing the second keeps
+    # the frontier image the first one added.
+    def state(d):
+        return (set(d.factbase), {k: list(v) for k, v in d.factbase.index.items()},
+                list(d.steps), dict(d._step_of), d._depth, set(d.applied),
+                dict(d._frontier_seen), dict(d.null_names()))
+
+    kbs = [load_example(name) for name in EXAMPLE_SOURCES]
+    kbs += [random_kb(random.Random(seed)) for seed in range(40)]
+    checks = 0
+    for i, kb in enumerate(kbs):
+        for variant in V:
+            rng = random.Random(i)
+            d = Derivation.start(variant, kb)
+            for _ in range(20):
+                candidates = [t for _, t in oracle_applicable_new_triggers(variant, d)]
+                if not candidates:
+                    break
+                before = state(d)
+                for t in rng.sample(candidates, min(4, len(candidates))):
+                    d._apply(t)
+                    d._undo()
+                    assert state(d) == before, (i, variant, t)
+                    checks += 1
+                d._apply(rng.choice(candidates))
+    assert checks > 1500
+
+
 # -- breadth-first runner -----------------------------------------------------
 
 
@@ -190,14 +225,32 @@ def test_example5_order_dependence():
 def test_state_dedup_preserves_reachable_factbases():
     # The visited-state pruning must not lose outcomes: the set of reachable
     # final factbases matches the unpruned reference enumeration.  On ex8 the
-    # pruning keeps 3 of 36 branches under r and 4 of 10 under e.
-    for name, variant in (("ex5", V.RESTRICTED), ("ex8", V.RESTRICTED),
-                          ("ex8", V.EQUIVALENT)):
-        kb = load_example(name)
+    # pruning keeps 3 of 36 branches under r and 4 of 10 under e.  Seeded
+    # random KBs and the decider's first factbases of ex3_exists (whose
+    # search branches under r) widen the sweep; a case whose unpruned tree
+    # has more than 5,000 leaves is skipped and counted.
+    cases = [(load_example(name), variant, 3) for name, variant in (
+        ("ex5", V.RESTRICTED), ("ex8", V.RESTRICTED), ("ex8", V.EQUIVALENT))]
+    for seed in range(30):
+        kb = random_kb(random.Random(seed))
+        cases += [(kb, variant, depth_target) for variant in (V.RESTRICTED, V.EQUIVALENT)
+                  for depth_target in (2, 3)]
+    rs = load_example("ex3_exists").ruleset
+    for factbase in itertools.islice(enumerate_representative_factbases(rs, 4), 150):
+        cases += [(KnowledgeBase(factbase, rs), variant, 2)
+                  for variant in (V.RESTRICTED, V.EQUIVALENT)]
+    skipped = branching = 0
+    for kb, variant, depth_target in cases:
+        unpruned = list(itertools.islice(
+            oracle_breadth_first_derivations(variant, kb, depth_target), 5001))
+        if len(unpruned) > 5000:
+            skipped += 1
+            continue
         pruned = {frozenset(d.factbase) for d in enumerate_breadth_first_derivations(
-            variant, kb, depth_target=3)}
-        assert pruned == {frozenset(d.factbase) for d in oracle_breadth_first_derivations(
-            variant, kb, depth_target=3)}
+            variant, kb, depth_target)}
+        assert pruned == {frozenset(d.factbase) for d in unpruned}
+        branching += len(pruned) > 1
+    assert skipped <= len(cases) // 10 and branching >= 100, (skipped, branching)
 
 
 def test_datalog_enumeration_is_single_branch():
@@ -210,38 +263,46 @@ def test_datalog_enumeration_is_single_branch():
         assert verify_derivation(variant, results[0]).is_terminating
 
 
-def test_single_order_search_is_the_runner_grown_in_place(monkeypatch):
-    # Where one within-rank order suffices (o, so, and r on datalog rules)
-    # the search grows one derivation in place, as the runner does: no step
-    # copies it through ``extend``.
+@pytest.mark.parametrize("variant", list(V), ids=lambda v: v.value)
+def test_derivation_search_grows_one_derivation_in_place(monkeypatch, variant):
+    # Every derivation search grows one derivation in place: no step copies
+    # it through ``extend``.  Where one within-rank order suffices (o, so,
+    # and r on datalog rules) that is the runner's loop; the branching search
+    # (r on existential rules, and e) steps back with ``_undo``.
     calls = []
     extend = Derivation.extend
     monkeypatch.setattr(Derivation, "extend",
                         lambda self, *args, **kw: calls.append(1) or extend(self, *args, **kw))
-    for variant in (V.OBLIVIOUS, V.SEMI_OBLIVIOUS):
-        (d,) = enumerate_breadth_first_derivations(variant, load_example("ex1"),
-                                                   depth_target=200)
-        assert d.depth() == 200
+    depth_target = 30 if variant is V.EQUIVALENT else 200
+    (d,) = enumerate_breadth_first_derivations(variant, load_example("ex1"), depth_target)
+    assert d.depth() == depth_target
     assert calls == []
     monkeypatch.undo()
 
-    # It takes the runner's steps: up to the run's depth-cap stop, plus the
-    # step that creates the first atom of rank ``depth_target``.
-    cases = [(name, variant) for name in EXAMPLE_SOURCES
-             for variant in (V.OBLIVIOUS, V.SEMI_OBLIVIOUS)]
-    cases += [(name, V.RESTRICTED) for name in EXAMPLE_SOURCES
-              if load_example(name).ruleset.is_datalog]
-    for name, variant in cases:
+    for name in EXAMPLE_SOURCES:
         kb = load_example(name)
-        for depth_target in (2, 3, 4):
-            (d,) = enumerate_breadth_first_derivations(variant, kb, depth_target)
-            run = run_breadth_first(variant, kb, depth_cap=depth_target - 1)
-            if run.halt_reason is HaltReason.DEPTH_CAP:
-                assert d.triggers()[:-1] == run.derivation.triggers()
-                assert d.steps[-1].produced and d.depth() == depth_target
-            else:
-                assert run.halt_reason is HaltReason.TERMINATED
-                assert d.triggers() == run.derivation.triggers()
+        if variant in (V.OBLIVIOUS, V.SEMI_OBLIVIOUS) or (
+                variant is V.RESTRICTED and kb.ruleset.is_datalog):
+            # The runner's steps: up to the run's depth-cap stop, plus the
+            # step that creates the first atom of rank ``depth_target``.
+            for depth_target in (2, 3, 4):
+                (d,) = enumerate_breadth_first_derivations(variant, kb, depth_target)
+                run = run_breadth_first(variant, kb, depth_cap=depth_target - 1)
+                if run.halt_reason is HaltReason.DEPTH_CAP:
+                    assert d.triggers()[:-1] == run.derivation.triggers()
+                    assert d.steps[-1].produced and d.depth() == depth_target
+                else:
+                    assert run.halt_reason is HaltReason.TERMINATED
+                    assert d.triggers() == run.derivation.triggers()
+            continue
+        # The branching search hands out distinct copies, each a finished
+        # branch: yielding the live derivation would hand out the start.
+        for depth_target in (2, 3):
+            found = list(enumerate_breadth_first_derivations(variant, kb, depth_target))
+            assert len(set(map(id, found))) == len(found)
+            for d in found:
+                assert (verify_derivation(variant, d).is_terminating
+                        or (d.depth() == depth_target and d.steps[-1].produced)), name
 
 
 # -- heredity: examples 9 and 10 ----------------------------------------------
