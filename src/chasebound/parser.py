@@ -18,6 +18,7 @@ renamed apart after parsing by scoping every rule variable with its rule id.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Optional
 
 from .errors import ChaseError
@@ -49,63 +50,41 @@ class ParseError(ChaseError):
 class Token(NamedTuple):
     kind: str  # IDENT | PUNCT | NULLSTART | EOF
     text: str
-    line: int
-    column: int
+    offset: int
 
 
-_PUNCT1 = "(),.[]"
+# One alternative per lexeme: blanks, a comment, a null marker, punctuation,
+# a word, or any other character.  ``re`` compiles it on first use.
+_LEXEME = (r"[ \t\r\n]+|(?P<COMMENT>%.*)|(?P<NULLSTART>_:)"
+           r"|(?P<PUNCT>->|[(),.\[\]])|(?P<IDENT>\w+)|(?P<ERROR>.)")
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``; only ``\\n`` ends a line."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("_:", i):
-            tokens.append(Token("NULLSTART", "_:", line, col))
-            i += 2
-            col += 2
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("PUNCT", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    eof = len(text)
+    for m in re.finditer(_LEXEME, text):
+        kind, offset = m.lastgroup, m.start()
+        if kind == "ERROR" or (kind == "IDENT" and not text[offset].isalpha()):
+            raise ParseError(f"unexpected character {text[offset]!r}",
+                             *_position(text, offset))
+        if kind == "COMMENT":
+            if m.end() == len(text):
+                eof = offset  # the end of input sits at a trailing comment
+        elif kind:
+            tokens.append(Token(kind, m.group(), offset))
+    tokens.append(Token("EOF", "", eof))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -119,7 +98,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Optional[Token] = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return ParseError(message, *_position(self.text, tok.offset))
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
@@ -232,7 +211,8 @@ def parse_kb(text: str) -> ParseResult:
         try:
             rules.append(Rule(rid, _scope_rule(rid, body), _scope_rule(rid, head)))
         except ChaseError as exc:
-            diagnostics.append(Diagnostic("error", str(exc), start.line, start.column))
+            diagnostics.append(Diagnostic("error", str(exc),
+                                          *_position(text, start.offset)))
             return ParseResult(None, diagnostics)
 
     for a in facts:
@@ -256,26 +236,24 @@ def parse_kb(text: str) -> ParseResult:
     return ParseResult(kb, diagnostics)
 
 
-def parse_term(text: str) -> Term:
+def _parse_whole(text: str, parse):
     p = _Parser(text)
-    t = p.term()
+    result = parse(p)
     p.expect("EOF")
-    return t
+    return result
+
+
+def parse_term(text: str) -> Term:
+    return _parse_whole(text, _Parser.term)
 
 
 def parse_atom(text: str) -> Atom:
-    p = _Parser(text)
-    a = p.atom()
-    p.expect("EOF")
-    return a
+    return _parse_whole(text, _Parser.atom)
 
 
 def parse_atoms(text: str) -> list[Atom]:
     """A comma-separated atom list in source syntax, e.g. ``p(a,b), q(c)``."""
-    p = _Parser(text)
-    atoms = p.atom_list()
-    p.expect("EOF")
-    return atoms
+    return _parse_whole(text, _Parser.atom_list)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:

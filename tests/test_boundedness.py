@@ -18,12 +18,24 @@ from chasebound import (
     enumerate_representative_factbases,
     parse_kb,
     rank_triggers,
+    run_breadth_first,
     shrink_witness,
     verify_derivation,
 )
-from chasebound.boundedness import _cells, cell_factbases, generic_pool, search_factbase
+from chasebound.boundedness import (
+    _cells,
+    _certify,
+    cell_factbases,
+    generic_pool,
+    search_factbase,
+)
 from chasebound.budget import Budget
-from chasebound.errors import BudgetExceededError, ChaseError, VariantUnsupportedError
+from chasebound.errors import (
+    BudgetExceededError,
+    ChaseError,
+    InternalVerificationError,
+    VariantUnsupportedError,
+)
 from chasebound.terms import atom_sort_key, sorted_atoms
 
 from conftest import EXAMPLE_SOURCES, load_example
@@ -270,6 +282,29 @@ def test_transitivity_alone_is_not_restricted_1_bounded():
     report = verify_derivation(V.RESTRICTED, w.derivation)
     assert report.is_valid_variant_derivation and report.is_rank_compatible
     assert len(w.minimized_factbase) <= rs.b ** 2 == 4
+
+
+@pytest.mark.parametrize("field, message", [
+    ("derivation", "witness replay failed: step 5: trigger .* is not r-applicable"),
+    ("offending_atom", re.escape("offending atom does not have rank k+1")),
+    ("minimized_factbase",
+     re.escape("minimized witness exceeds the ancestor bound b^(k+1) = 4")),
+])
+def test_certify_rejects_a_doctored_witness(field, message):
+    rs = load_example("ex3_single").ruleset
+    q = BoundedQuery(rs, V.RESTRICTED, 1)
+    w = check_k_bounded(q).witness
+    _certify(q, w)
+    doctored = {
+        # The oblivious chase applies triggers the restricted chase may not.
+        "derivation": run_breadth_first(
+            V.OBLIVIOUS, KnowledgeBase(w.factbase, rs), depth_cap=2).derivation,
+        "offending_atom": min(w.factbase, key=atom_sort_key),  # rank 0
+        "minimized_factbase":  # b^(k+1) = 4 atoms at most
+            frozenset(atom("p", Constant(f"c{i}"), a) for i in range(5)),
+    }[field]
+    with pytest.raises(InternalVerificationError, match=message):
+        _certify(q, w._replace(**{field: doctored}))
 
 
 def test_example4_verdicts_per_variant():

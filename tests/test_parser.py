@@ -50,12 +50,41 @@ def test_syntax_error_has_position():
     ("p(a).\np(b), q(c).", "2:1: error: facts are single atoms"),
     ("p(a).\np(b) q(c).", "2:6: error: expected '->' or '.'"),
     ("p(a).\np(X,_:w) -> q(X).", "2:1: error: rule R1: rules must not contain nulls"),
+    ("p(a) % no dot", "1:6: error: expected '->' or '.'"),
 ], ids=["uppercase-predicate", "fact-with-rule-id", "fact-of-two-atoms",
-        "no-arrow-or-dot", "null-in-rule"])
+        "no-arrow-or-dot", "null-in-rule", "end-of-input-at-trailing-comment"])
 def test_statement_errors_have_message_and_position(text, diagnostic):
     result = parse_kb(text)
     assert result.kb is None
     assert [str(d) for d in result.diagnostics] == [diagnostic]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("p(a)\t\tq", "1:7: expected 'EOF', found 'q'"),
+    ("p(a)\r\r q", "1:8: expected 'EOF', found 'q'"),
+    ("p(a) % c\n\t q", "2:3: expected 'EOF', found 'q'"),
+    ("p(a, % c\n b", "2:3: expected ')', found ''"),
+    ("p(a % no paren", "1:5: expected ')', found ''"),
+    ("p(éa) éb", "1:7: expected 'EOF', found 'éb'"),
+    ("p(a)\n ²x", "2:2: unexpected character '²'"),
+    ("_x(a)", "1:1: unexpected character '_'"),
+    ("p(1a)", "1:3: unexpected character '1'"),
+    ("p(a) - q", "1:6: unexpected character '-'"),
+    ("p(a)\x0b", "1:5: unexpected character '\\x0b'"),
+    ("p(\xa0a)", "1:3: unexpected character '\\xa0'"),
+    ("p(a,_:", "1:7: expected 'IDENT', found ''"),
+], ids=["tab-columns", "cr-columns", "comment-between-tokens",
+        "end-of-input-after-comment-line", "end-of-input-at-trailing-comment",
+        "unicode-letter-in-identifier", "superscript-two", "underscore-word",
+        "digit-word", "lone-minus", "vertical-tab", "no-break-space",
+        "null-marker-at-end"])
+def test_lexical_rules_pin_token_and_position(text, error):
+    # Blanks are space, tab, CR and newline, and only a newline starts a new
+    # line; an identifier starts with a letter; anything else is rejected
+    # where it stands.
+    with pytest.raises(ParseError) as exc:
+        parse_atom(text)
+    assert str(exc.value) == error
 
 
 def test_comments_and_whitespace():
